@@ -8,18 +8,22 @@ the ordinal whose w^d coefficient is the total mass in dimension d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .ordinal import Ordinal
 
 
-@dataclass(frozen=True, slots=True)
 class MonomialPrime:
     """The prime generated by the variables ``gens`` inside n variables."""
 
+    __slots__ = ("n", "gens")
     n: int
     gens: frozenset[int]
+
+    def __init__(self, n: int, gens: frozenset[int]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "gens", gens)
+        self.__post_init__()
 
     def __post_init__(self):
         gens = frozenset(int(i) for i in self.gens)
@@ -28,6 +32,23 @@ class MonomialPrime:
         if any(i < 0 or i >= self.n for i in gens):
             raise ValueError(f"variable index out of range in {sorted(gens)} (n={self.n})")
         object.__setattr__(self, "gens", gens)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.gens) == (other.n, other.gens)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.gens))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (self.__class__, (self.n, self.gens))
 
     @classmethod
     def of(cls, n: int, indices: Iterable[int]) -> "MonomialPrime":
@@ -55,12 +76,17 @@ class MonomialPrime:
         return f"MonomialPrime({self.n}, {set(self.key) if self.gens else '{}'})"
 
 
-@dataclass(frozen=True, slots=True)
 class Cycle:
     """A formal natural-number combination of monomial primes."""
 
+    __slots__ = ("n", "terms")
     n: int
-    terms: tuple[tuple[MonomialPrime, int], ...] = ()
+    terms: tuple[tuple[MonomialPrime, int], ...]
+
+    def __init__(self, n: int, terms: tuple[tuple[MonomialPrime, int], ...] = ()):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "terms", terms)
+        self.__post_init__()
 
     def __post_init__(self):
         acc: dict[MonomialPrime, int] = {}
@@ -72,6 +98,26 @@ class Cycle:
             acc[p] = acc.get(p, 0) + c
         terms = tuple(sorted(((p, c) for p, c in acc.items() if c), key=lambda t: t[0].key))
         object.__setattr__(self, "terms", terms)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.terms) == (other.n, other.terms)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.terms))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (self.__class__, (self.n, self.terms))
+
+    def __repr__(self) -> str:
+        return f"Cycle(n={self.n!r}, terms={self.terms!r})"
 
     @classmethod
     def zero(cls, n: int) -> "Cycle":

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import os
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import NamedTuple
 
@@ -50,19 +49,42 @@ def _max_vars() -> int:
     return int(value) if value else DEFAULT_MAX_VARS
 
 
-@dataclass(frozen=True, slots=True)
 class MonomialModule:
     """The subquotient I/J of a polynomial ring in n variables."""
 
+    __slots__ = ("n", "I", "J")
     n: int
     I: MonomialIdeal
     J: MonomialIdeal
+
+    def __init__(self, n: int, I: MonomialIdeal, J: MonomialIdeal):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "I", I)
+        object.__setattr__(self, "J", J)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.I.n != self.n or self.J.n != self.n:
             raise ValueError("ideal ambient does not match module ambient")
         if not contains(self.I, self.J):
             raise ValueError("the denominator ideal must be contained in the numerator")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.I, self.J) == (other.n, other.I, other.J)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.I, self.J))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (self.__class__, (self.n, self.I, self.J))
 
     @classmethod
     def quotient_ring(cls, denominator: MonomialIdeal) -> "MonomialModule":
@@ -120,20 +142,25 @@ def h0_length(module: MonomialModule) -> int:
     return h0_count(module.I, module.J)
 
 
-@lru_cache(maxsize=None)
 def fcyc(module: MonomialModule) -> Cycle:
     """The fundamental cycle: each monomial prime weighted by the
     classical length of the local torsion there.
 
     Only finitely many primes carry weight; they are exactly the
-    associated primes of the module.
+    associated primes of the module.  The variable guard runs before the
+    cache, so a cached module is refused like a new one.
     """
-    n = module.n
-    if n > _max_vars():
+    if module.n > _max_vars():
         raise GuardError(
-            f"associated-prime enumeration over {n} variables exceeds the guard "
+            f"associated-prime enumeration over {module.n} variables exceeds the guard "
             f"({_max_vars()}); set {MAX_DIM_ENV} to raise it"
         )
+    return _fcyc(module)
+
+
+@lru_cache(maxsize=None)
+def _fcyc(module: MonomialModule) -> Cycle:
+    n = module.n
     if module.is_zero:
         return Cycle.zero(n)
     terms = []
@@ -144,6 +171,10 @@ def fcyc(module: MonomialModule) -> Cycle:
             if c:
                 terms.append((prime, c))
     return Cycle(n, tuple(terms))
+
+
+fcyc.cache_clear = _fcyc.cache_clear
+fcyc.cache_info = _fcyc.cache_info
 
 
 def length(module: MonomialModule) -> Ordinal:
@@ -334,8 +365,7 @@ def univalent_data(module: MonomialModule) -> UnivalentData:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class EndoAnalysis:
+class EndoAnalysis(NamedTuple):
     """Everything the length theory says about multiplication by r."""
 
     r: Monomial

@@ -9,26 +9,50 @@ divisibility), so structural equality is ideal equality.
 from __future__ import annotations
 
 import itertools
+import math
 import re
-from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .cycles import MonomialPrime
-from .errors import ParseError
+from .errors import GuardError, ParseError
+
+# Largest number of box lines one h0_count scan may visit.
+MAX_H0_LINES = 10**6
 
 
-@dataclass(frozen=True, slots=True)
 class Monomial:
     """A monomial stored as its exponent vector."""
 
+    __slots__ = ("exps",)
     exps: tuple[int, ...]
+
+    def __init__(self, exps: tuple[int, ...]):
+        object.__setattr__(self, "exps", exps)
+        self.__post_init__()
 
     def __post_init__(self):
         e = tuple(int(a) for a in self.exps)
         if any(a < 0 for a in e):
             raise ValueError(f"negative exponent in {e!r}")
         object.__setattr__(self, "exps", e)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.exps == other.exps
+
+    def __hash__(self) -> int:
+        return hash((self.exps,))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (self.__class__, (self.exps,))
 
     @classmethod
     def one(cls, n: int) -> "Monomial":
@@ -104,21 +128,43 @@ def _minimalize(monomials: Iterable[Monomial]) -> tuple[Monomial, ...]:
     return tuple(kept)
 
 
-@dataclass(frozen=True, slots=True)
 class MonomialIdeal:
     """A monomial ideal held by its minimal generators, sorted canonically.
 
     The zero ideal has no generators; the unit ideal is generated by 1.
     """
 
+    __slots__ = ("n", "gens")
     n: int
-    gens: tuple[Monomial, ...] = ()
+    gens: tuple[Monomial, ...]
+
+    def __init__(self, n: int, gens: tuple[Monomial, ...] = ()):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "gens", gens)
+        self.__post_init__()
 
     def __post_init__(self):
         for g in self.gens:
             if g.n != self.n:
                 raise ValueError(f"generator {g!r} does not live in {self.n} variables")
         object.__setattr__(self, "gens", _minimalize(self.gens))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.gens) == (other.n, other.gens)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.gens))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (self.__class__, (self.n, self.gens))
 
     @classmethod
     def zero(cls, n: int) -> "MonomialIdeal":
@@ -171,23 +217,23 @@ def colon_ideal(ideal: MonomialIdeal, by: MonomialIdeal) -> MonomialIdeal:
 
 
 def saturate_mono(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
-    """The saturation (ideal : m^infinity), computed by iterated colon."""
-    cur = ideal
-    while True:
-        nxt = colon_mono(cur, m)
-        if nxt == cur:
-            return cur
-        cur = nxt
+    """The saturation (ideal : m^infinity): the ideal with the exponents
+    of m's variables zeroed in every generator."""
+    return MonomialIdeal(
+        ideal.n,
+        tuple(Monomial(tuple(0 if b else a for a, b in zip(g.exps, m.exps))) for g in ideal.gens),
+    )
 
 
 def saturate(ideal: MonomialIdeal, by: MonomialIdeal) -> MonomialIdeal:
-    """The saturation (ideal : by^infinity), computed by iterated colon."""
-    cur = ideal
-    while True:
-        nxt = colon_ideal(cur, by)
-        if nxt == cur:
-            return cur
-        cur = nxt
+    """The saturation (ideal : by^infinity), the intersection of the
+    saturations at by's generators (Hosten-Smith, "Monomial ideals")."""
+    if by.is_zero:
+        raise ValueError(
+            "saturation by the zero ideal is the unit ideal by convention; "
+            "refusing to produce it silently"
+        )
+    return reduce(intersect, (saturate_mono(ideal, g) for g in by.gens))
 
 
 def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
@@ -224,8 +270,7 @@ def variable_ideal(n: int) -> MonomialIdeal:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class StandardPair:
+class StandardPair(NamedTuple):
     """A head monomial together with its set of free variables.
 
     The pair stands for all products of the head with monomials in the
@@ -238,10 +283,6 @@ class StandardPair:
     @property
     def key(self) -> tuple:
         return (tuple(sorted(self.free)), self.head.exps)
-
-
-def _var_product(n: int, indices: Iterable[int]) -> Monomial:
-    return Monomial(tuple(1 if i in set(indices) else 0 for i in range(n)))
 
 
 def standard_pairs(ideal: MonomialIdeal) -> frozenset[StandardPair]:
@@ -261,7 +302,7 @@ def standard_pairs(ideal: MonomialIdeal) -> frozenset[StandardPair]:
 
     def sat(free: frozenset[int]) -> MonomialIdeal:
         if free not in sats:
-            sats[free] = saturate_mono(ideal, _var_product(n, free))
+            sats[free] = saturate_mono(ideal, Monomial(tuple(int(i in free) for i in range(n))))
         return sats[free]
 
     pairs = []
@@ -317,9 +358,15 @@ def h0_count(numerator: MonomialIdeal, denominator: MonomialIdeal) -> int:
     every variable: the classical length of the torsion at the fine
     maximal ideal.
 
-    Every such monomial has, in each variable, an exponent strictly
-    below the largest exponent of that variable among the denominator's
-    generators, so a finite box search is exact.
+    Such a monomial lies in the numerator I, outside the denominator J
+    and in every saturation J : x_i^infinity, which is J with x_i's
+    exponents zeroed.  In each variable its exponent is strictly below
+    that variable's largest exponent among J's generators (its cap), so
+    the count runs over a finite box.  Along a line of the box in the
+    variable v with the largest cap, membership in J, in I and in each
+    saturation is a threshold t on v's exponent, so the line holds
+    max(0, t_J - max(t_I, t_i...)) counted monomials and the scan visits
+    lines, not cells.
     """
     n = numerator.n
     if numerator == denominator:
@@ -327,13 +374,40 @@ def h0_count(numerator: MonomialIdeal, denominator: MonomialIdeal) -> int:
     if n == 0:
         # the ring is the ground field; the module is it or nothing
         return 1
-    sat = saturate(denominator, variable_ideal(n))
-    caps = [max((g.exps[j] for g in denominator.gens), default=0) for j in range(n)]
+    den = [g.exps for g in denominator.gens]
+    caps = [max((e[j] for e in den), default=0) for j in range(n)]
+    if not all(caps):
+        # no generator involves some x_i, so J : x_i^infinity = J and nothing is torsion
+        return 0
+    v = caps.index(max(caps))
+    others = [j for j in range(n) if j != v]
+    lines = math.prod(caps[j] for j in others)
+    if lines > MAX_H0_LINES:
+        raise GuardError(
+            f"torsion count would scan {lines} box lines, over the bound of {MAX_H0_LINES}"
+        )
+    # each generator as (exponent of v, exponents of the other variables)
+    num = [(e[v], [e[j] for j in others]) for e in (g.exps for g in numerator.gens)]
+    den = [(e[v], [e[j] for j in others]) for e in den]
+    never = caps[v]  # a threshold at or past the cap excludes the whole line
     count = 0
-    for exps in itertools.product(*(range(max(c, 1)) for c in caps)):
-        m = Monomial(exps)
-        if member(m, sat) and not member(m, denominator) and member(m, numerator):
-            count += 1
+    for point in itertools.product(*(range(caps[j]) for j in others)):
+        t_num = min(
+            (t for t, rest in num if all(map(int.__le__, rest, point))), default=never
+        )
+        if t_num >= never:
+            continue
+        t_den = never + 1  # stays past the cap while no generator of J reaches the line
+        t_sat = [never] * len(others)
+        for t, rest in den:
+            missed = [k for k, (a, p) in enumerate(zip(rest, point)) if a > p]
+            if not missed:
+                t_den = min(t_den, t)
+            elif len(missed) == 1 and t < t_sat[missed[0]]:
+                t_sat[missed[0]] = t
+        if t_den > never:
+            continue
+        count += max(0, t_den - max([t_num, *t_sat]))
     return count
 
 

@@ -20,7 +20,6 @@ total order of ordinals, exposed through ``<``/``<=``; ``meet`` and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import ParseError
@@ -37,11 +36,15 @@ class OrdinalSplit(NamedTuple):
     low: "Ordinal"
 
 
-@dataclass(frozen=True, slots=True)
 class Ordinal:
     """An ordinal below w^w in Cantor normal form."""
 
-    coeffs: tuple[int, ...] = ()
+    __slots__ = ("coeffs",)
+    coeffs: tuple[int, ...]
+
+    def __init__(self, coeffs: tuple[int, ...] = ()):
+        object.__setattr__(self, "coeffs", coeffs)
+        self.__post_init__()
 
     def __post_init__(self):
         c = tuple(int(a) for a in self.coeffs)
@@ -50,6 +53,30 @@ class Ordinal:
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
+
+    @classmethod
+    def _normal(cls, coeffs: tuple[int, ...]) -> "Ordinal":
+        """Wrap a tuple of naturals already free of trailing zeros, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "coeffs", coeffs)
+        return self
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (self.__class__, (self.coeffs,))
 
     # ------------------------------------------------------------------
     # constructors
@@ -129,16 +156,20 @@ class Ordinal:
         """Ordinal sum: the part of self below other's degree is absorbed."""
         if not isinstance(other, Ordinal):
             return NotImplemented
-        if other.is_zero:
+        b = other.coeffs
+        if not b:
             return self
-        e = other.degree
-        ae = self.coeff(e)
-        return Ordinal(other.coeffs[:e] + (ae + other.coeffs[e],) + self.coeffs[e + 1 :])
+        e = len(b) - 1
+        a = self.coeffs
+        ae = a[e] if e < len(a) else 0
+        return Ordinal._normal(b[:e] + (ae + b[e],) + a[e + 1 :])
 
     def shuffle_sum(self, other: "Ordinal") -> "Ordinal":
         """Coefficientwise sum, the commutative companion of ``+``."""
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Ordinal(tuple(self.coeff(i) + other.coeff(i) for i in range(n)))
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return Ordinal._normal(tuple(map(int.__add__, a, b)) + a[len(b) :])
 
     def __mul__(self, n: int) -> "Ordinal":
         """n-fold shuffle sum, i.e. coefficientwise scaling by a natural."""
@@ -164,28 +195,42 @@ class Ordinal:
         return (len(self.coeffs), tuple(reversed(self.coeffs)))
 
     def __lt__(self, other: "Ordinal") -> bool:
+        if not isinstance(other, Ordinal):
+            return NotImplemented
         return self._key() < other._key()
 
     def __le__(self, other: "Ordinal") -> bool:
+        if not isinstance(other, Ordinal):
+            return NotImplemented
         return self._key() <= other._key()
 
     def __gt__(self, other: "Ordinal") -> bool:
+        if not isinstance(other, Ordinal):
+            return NotImplemented
         return self._key() > other._key()
 
     def __ge__(self, other: "Ordinal") -> bool:
+        if not isinstance(other, Ordinal):
+            return NotImplemented
         return self._key() >= other._key()
 
     def weaker(self, other: "Ordinal") -> bool:
         """Coefficientwise comparison; a partial order refined by <=."""
-        return all(self.coeff(i) <= other.coeff(i) for i in range(len(self.coeffs)))
+        a, b = self.coeffs, other.coeffs
+        # normal forms end in a nonzero coefficient, so a longer tuple is never weaker
+        return len(a) <= len(b) and all(map(int.__le__, a, b))
 
     def meet(self, other: "Ordinal") -> "Ordinal":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Ordinal(tuple(min(self.coeff(i), other.coeff(i)) for i in range(n)))
+        c = tuple(map(min, self.coeffs, other.coeffs))
+        while c and c[-1] == 0:
+            c = c[:-1]
+        return Ordinal._normal(c)
 
     def join(self, other: "Ordinal") -> "Ordinal":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Ordinal(tuple(max(self.coeff(i), other.coeff(i)) for i in range(n)))
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return Ordinal._normal(tuple(map(max, a, b)) + a[len(b) :])
 
     def split(self, e: int) -> OrdinalSplit:
         """Split into the terms with exponent > e and those with exponent <= e.

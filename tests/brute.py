@@ -91,3 +91,33 @@ def saturation_member(m: Exp, gens: list[Exp], by: Exp, n: int) -> bool:
         return False
     b = power_bound(gens, n) + max(m, default=0)
     return member(tuple(a + b * x for a, x in zip(m, by)), gens)
+
+
+def minimal(gens: list[Exp]) -> list[Exp]:
+    """The minimal generators, sorted by degree and then exponents."""
+    kept: list[Exp] = []
+    for g in sorted(set(gens), key=lambda e: (sum(e), e)):
+        if not member(g, kept):
+            kept.append(g)
+    return kept
+
+
+def intersection(a: list[Exp], b: list[Exp]) -> list[Exp]:
+    return minimal([tuple(map(max, g, h)) for g in a for h in b])
+
+
+def saturation_iterated(gens: list[Exp], by: list[Exp]) -> list[Exp]:
+    """Minimal generators of (ideal : (by)^∞), by colons with the ideal
+    ``by`` repeated until the ideal stops growing.  The colon by an
+    ideal is the intersection of the colons by its generators."""
+    if not by:
+        raise ValueError("saturation by the zero ideal")
+    cur = minimal(gens)
+    while True:
+        colons = [minimal([tuple(max(a - b, 0) for a, b in zip(g, m)) for g in cur]) for m in by]
+        nxt = colons[0]
+        for c in colons[1:]:
+            nxt = intersection(nxt, c)
+        if nxt == cur:
+            return cur
+        cur = nxt

@@ -115,6 +115,12 @@ def test_guard_exit_3(capsys):
     assert "guard violation" in err
 
 
+def test_exponent_guard_exit_3(capsys):
+    code, _, err = run(capsys, "len", "--vars", "x,y,z", "--ideal", "x^3000,y^2000,z^2000")
+    assert code == 3
+    assert "4000000 box lines" in err
+
+
 def test_check_passing_suite_exit_0(capsys):
     code, out, _ = run(
         capsys, "check", "ordinal", "--max-deg", "2"

@@ -1,10 +1,15 @@
 """Monomial primes and cycles over them."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ordlen.cycles import Cycle, MonomialPrime, binary_cycle, binord
+from ordlen.modules import MonomialModule
+from ordlen.monomial import Monomial, MonomialIdeal
 from ordlen.ordinal import Ordinal
 
 
@@ -103,3 +108,19 @@ def test_binord_is_additive_on_cycles(d):
         total = total.shuffle_sum(Ordinal.omega_power(p.dim) * v)
     assert binord(c) == total
     assert c.valence == binord(c).valence
+
+
+def test_value_types_pickle_and_copy():
+    J = MonomialIdeal(2, (Monomial((2, 0)), Monomial((1, 1))))
+    values = [
+        Ordinal((1, 2)),
+        Monomial((2, 0)),
+        J,
+        P(0),
+        Cycle.of(2, {P(0): 3}),
+        MonomialModule.quotient_ring(J),
+    ]
+    for v in values:
+        assert pickle.loads(pickle.dumps(v)) == v
+        assert copy.deepcopy(v) == v
+        assert hash(copy.copy(v)) == hash(v)

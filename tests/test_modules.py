@@ -6,6 +6,7 @@ import random
 import pytest
 
 import brute
+from test_acceptance import Budget
 from ordlen.corpus import all_ideals
 from ordlen.cycles import Cycle, MonomialPrime
 from ordlen.errors import GuardError
@@ -408,6 +409,23 @@ def test_many_variable_guard(monkeypatch):
         fcyc(big)
     monkeypatch.setenv("ORDLEN_MAX_DIM", "13")
     assert length(big) == Ordinal.omega_power(13)
+
+
+def test_guard_runs_before_the_cache(monkeypatch):
+    names = ("a", "b", "c", "d")
+    M = MonomialModule.quotient_ring(parse_ideal("a^2, a*b, c*d", names))
+    assert length(M) == Ordinal.parse("2w^2 + 2w")
+    monkeypatch.setenv("ORDLEN_MAX_DIM", "3")
+    with pytest.raises(GuardError):
+        length(M)
+
+
+def test_large_exponent_lengths_stay_fast():
+    with Budget(1.0):
+        xy = parse_ideal("x^200, y^200", ("x", "y"))
+        assert length(MonomialModule.quotient_ring(xy)) == Ordinal.finite(40000)
+        xyz = parse_ideal("x^50, y^50, z^50, x*y*z", ("x", "y", "z"))
+        assert length(MonomialModule.quotient_ring(xyz)) == Ordinal.finite(7351)
 
 
 def test_module_dim():

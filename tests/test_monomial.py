@@ -34,7 +34,7 @@ from ordlen.monomial import (
     standard_pairs,
     variable_ideal,
 )
-from ordlen.errors import ParseError
+from ordlen.errors import GuardError, ParseError
 
 NAMES = ("x", "y")
 
@@ -172,6 +172,35 @@ def test_saturation_matches_brute():
         )
 
 
+def random_exps_ideal(rng, n, gens=4, deg=4):
+    return [tuple(rng.randint(0, deg) for _ in range(n)) for _ in range(rng.randint(0, gens))]
+
+
+def test_closed_form_saturation_matches_iterated_colons():
+    rng = random.Random(15)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        jg = random_exps_ideal(rng, n)
+        ideal = MonomialIdeal.of(n, jg)
+        m = tuple(rng.randint(0, 2) for _ in range(n))
+        got = saturate_mono(ideal, Monomial(m))
+        assert [g.exps for g in got.gens] == brute.saturation_iterated(jg, [m]), (jg, m)
+        for cell in brute.box(n, 5 if n < 4 else 3):
+            assert brute.member(cell, [g.exps for g in got.gens]) == brute.saturation_member(
+                cell, jg, m, n
+            ), (jg, m, cell)
+        by = random_exps_ideal(rng, n, deg=2) or [m]
+        got = saturate(ideal, MonomialIdeal.of(n, by))
+        assert [g.exps for g in got.gens] == brute.saturation_iterated(jg, by), (jg, by)
+
+
+def test_saturate_by_zero_ideal_raises():
+    with pytest.raises(ValueError):
+        saturate(I2("x^2, x*y"), MonomialIdeal.zero(2))
+    with pytest.raises(ValueError):
+        saturate(MonomialIdeal.zero(2), MonomialIdeal.zero(2))
+
+
 def test_saturate_by_maximal_ideal_keeps_nontorsion():
     assert saturate(I2("x^2, x*y"), variable_ideal(2)) == I2("x")
     assert saturate(I2("x^2, y^2"), variable_ideal(2)).is_unit
@@ -299,6 +328,45 @@ def test_h0_count_uses_per_variable_caps():
     got = h0_count(I2("x^2"), I2("x^3, x^2*y^3"))
     assert got == 3
     assert got == brute.h0_count([(2, 0)], [(3, 0), (2, 3)], 2, 8)
+
+
+def test_h0_count_matches_brute_in_one_to_four_variables():
+    # the scan runs along the variable with the largest cap; the
+    # permuted copies put that variable first, in the middle and last
+    rng = random.Random(16)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        jg = random_exps_ideal(rng, n, gens=5, deg=3 if n < 4 else 2)
+        ig = [tuple(rng.randint(0, 2) for _ in range(n))] + jg if rng.random() < 0.7 else [(0,) * n]
+        order = list(range(n))
+        rng.shuffle(order)
+        for perm in (list(range(n)), order):
+            pj = [tuple(e[i] for i in perm) for e in jg]
+            pi = [tuple(e[i] for i in perm) for e in ig]
+            cap = max((a for e in pj for a in e), default=0)
+            want = brute.h0_count(brute.minimal(pi), pj, n, cap)
+            assert h0_count(MonomialIdeal.of(n, pi), MonomialIdeal.of(n, pj)) == want, (pi, pj)
+
+
+def test_h0_count_largest_cap_not_last():
+    # caps (4, 1): the scan runs along x
+    assert h0_count(MonomialIdeal.unit(2), I2("x^4, y")) == 4
+    # R/(x^4, x^2 y): x^2 and x^3 are killed by powers of both variables
+    assert h0_count(MonomialIdeal.unit(2), I2("x^4, x^2*y")) == 2
+    assert h0_count(I2("x"), I2("x^4, x^3*y, y^2")) == brute.h0_count(
+        [(1, 0)], [(4, 0), (3, 1), (0, 2)], 2, 4
+    )
+    J3 = MonomialIdeal.of(3, [(1, 5, 0), (0, 2, 1), (0, 0, 2), (2, 0, 0)])
+    assert h0_count(MonomialIdeal.unit(3), J3) == brute.h0_count(
+        [(0, 0, 0)], [g.exps for g in J3.gens], 3, 5
+    )
+
+
+def test_h0_count_guards_its_scan():
+    # caps (3000, 2000, 2000): the scan along x would visit 2000 * 2000 lines
+    J = MonomialIdeal.of(3, [(3000, 0, 0), (0, 2000, 0), (0, 0, 2000)])
+    with pytest.raises(GuardError, match="4000000 box lines"):
+        h0_count(MonomialIdeal.unit(3), J)
 
 
 # -- parsing and formatting ----------------------------------------------

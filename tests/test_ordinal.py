@@ -178,3 +178,23 @@ def test_split_reconstruction(a, e):
 def test_zero_is_identity(a):
     assert a + ZERO == a and ZERO + a == a
     assert a.shuffle_sum(ZERO) == a
+
+
+@given(ordinals, ordinals)
+def test_unchecked_results_are_normal_forms(a, b):
+    # the operators build their results without re-validating, so each
+    # result must already equal the validated construction of its tuple
+    for result in (a + b, a.shuffle_sum(b), a.meet(b), a.join(b)):
+        assert result == Ordinal(result.coeffs)
+        assert not result.coeffs or result.coeffs[-1] > 0
+    assert a.weaker(b) == all(a.coeff(i) <= b.coeff(i) for i in range(len(a.coeffs)))
+
+
+def test_comparison_with_other_types():
+    with pytest.raises(TypeError):
+        Ordinal((1,)) < 3
+    with pytest.raises(TypeError):
+        Ordinal((1,)) >= "w"
+    assert Ordinal((1,)) != (1,)
+    with pytest.raises(AttributeError):
+        ONE.coeffs = (2,)
