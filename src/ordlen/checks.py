@@ -1,21 +1,27 @@
 """Named check suites sweeping the length theory over ideal corpora.
 
-Each suite returns a list of CheckResult records; a failing record
-carries a witness (the offending module or pair) in its detail and
-evidence.  Suites are deterministic given (bounds, seed).
+Each suite declares a stream of cases, drawn from one ``Corpus`` built
+from the run's options, and the laws every case must satisfy;
+``reporting.sweep`` turns that into CheckResult records.  A record
+counts the cases it covered, and a failing one carries the offending
+inputs as witnesses.  Suites are deterministic given the options.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
+from types import SimpleNamespace as Case
 
 from .corpus import (
     all_ideals,
+    artinian_ideals_containing_power,
     contained_pairs,
+    max_ideal_power,
     monomials_of_degree_at_most,
     random_contained_pairs,
-    artinian_ideals_containing_power,
     random_ideal,
     sandwich_numerators,
 )
@@ -27,10 +33,8 @@ from .finite_oracle import (
     endo_power,
     enumerate_endos,
     enumerate_submodules,
-    in_span,
     intersect_spans,
     longest_chain,
-    span_vectors,
 )
 from .modules import (
     MonomialModule,
@@ -45,37 +49,65 @@ from .modules import (
     prim_kernel,
 )
 from .monomial import (
-    Monomial,
     MonomialIdeal,
     colon_mono,
     contains,
-    format_ideal,
     default_names,
+    format_ideal,
     ideal_of_prime,
     ideal_sum,
     intersect,
     parse_ideal,
 )
 from .ordinal import Ordinal
-from .reporting import CheckResult
+from .reporting import CheckResult, sweep
 
 DEFAULT_SAMPLE = 500
+# the coefficient bound of the ordinal pool
+MAX_COEFF = 3
 
 
-def _witness_pair(J: MonomialIdeal, I: MonomialIdeal) -> str:
-    names = default_names(J.n)
-    return f"J=({format_ideal(J, names)}), I=({format_ideal(I, names)})"
+@dataclass
+class Corpus:
+    """The options of a run and the corpora they determine, each built
+    once per run and shared by the suites that sweep it."""
+
+    max_vars: int = 3
+    max_deg: int = 3
+    seed: int = 0
+    sample: int = DEFAULT_SAMPLE
+    truncation: int | None = None
+
+    @cached_property
+    def ideals(self) -> list[MonomialIdeal]:
+        """Every two-variable ideal generated in degree ≤ max_deg."""
+        return all_ideals(2, self.max_deg)
+
+    @cached_property
+    def pairs(self) -> dict[str, list[tuple[MonomialIdeal, MonomialIdeal]]]:
+        """Contained pairs J ⊆ I by tag: every pair of ``ideals``, and with
+        max_vars ≥ 3 also ``sample`` seeded pairs in three variables."""
+        out = {"2var": contained_pairs(self.ideals)}
+        if self.max_vars >= 3:
+            out["3var"] = random_contained_pairs(3, self.sample, self.seed)
+        return out
+
+    @cached_property
+    def binary_modules(self) -> list[MonomialModule]:
+        """The nonzero binary modules I/J over all of ``pairs``."""
+        modules = (
+            MonomialModule(J.n, I, J) for pairs in self.pairs.values() for J, I in pairs
+        )
+        return [M for M in modules if not M.is_zero and is_binary_module(M)]
 
 
-def _result(name: str, failures: list, detail_pass: str) -> CheckResult:
-    if not failures:
-        return CheckResult(name, True, detail_pass)
-    return CheckResult(
-        name,
-        False,
-        f"{len(failures)} failures; first: {failures[0]}",
-        {"witnesses": [str(w) for w in failures[:5]]},
-    )
+def _fmt(ideal: MonomialIdeal) -> str:
+    return f"({format_ideal(ideal, default_names(ideal.n))})"
+
+
+def _pair_text(x) -> str:
+    """The ideals J ⊆ I of a module, or of a case that names them."""
+    return f"J={_fmt(x.J)}, I={_fmt(x.I)}"
 
 
 # ----------------------------------------------------------------------
@@ -84,152 +116,112 @@ def _result(name: str, failures: list, detail_pass: str) -> CheckResult:
 
 
 def _ordinals_up_to(max_deg: int, max_coeff: int) -> list[Ordinal]:
+    return [Ordinal(c) for c in itertools.product(range(max_coeff + 1), repeat=max_deg + 1)]
+
+
+def _pair_laws(a: Ordinal, b: Ordinal) -> bool:
+    """Order extension, shuffle difference and sum domination."""
+    weaker = a.weaker(b)
+    diff = b.shuffle_difference(a)
+    return (
+        (not weaker or a <= b)
+        and weaker == (diff is not None)
+        and (diff is None or a.shuffle_sum(diff) == b)
+        and (a + b) <= a.shuffle_sum(b)
+    )
+
+
+def _split_reconstructs(a: Ordinal, e: int) -> bool:
+    high, low = a.split(e)
+    return high + low == a and high.shuffle_sum(low) == a
+
+
+def _associative(a: Ordinal, b: Ordinal, c: Ordinal) -> bool:
+    ab, bc = a.shuffle_sum(b), b.shuffle_sum(c)
+    return (a + b) + c == a + (b + c) and ab.shuffle_sum(c) == a.shuffle_sum(bc)
+
+
+def _ordinal(corpus: Corpus) -> list[CheckResult]:
+    pool = _ordinals_up_to(corpus.max_deg, MAX_COEFF)
+    splits = ((a, e) for a in pool for e in range(corpus.max_deg + 2))
+    triples = itertools.product(_ordinals_up_to(2, 2), repeat=3)
     return [
-        Ordinal(c)
-        for c in itertools.product(*(range(max_coeff + 1) for _ in range(max_deg + 1)))
+        *sweep(itertools.product(pool, repeat=2), [("ordinal-pair-laws",
+            "pairs: weaker ⇒ ≤, difference, sum domination", lambda ab: _pair_laws(*ab))]),
+        *sweep(splits, [("ordinal-split",
+            "splits: reconstructed under both sums", lambda ae: _split_reconstructs(*ae))]),
+        *sweep(triples, [("ordinal-assoc",
+            "triples: both sums associative", lambda abc: _associative(*abc))]),
     ]
 
 
-def ordinal_checks(max_deg: int = 3, max_coeff: int = 3, **_) -> list[CheckResult]:
-    results = []
-    pool = _ordinals_up_to(max_deg, max_coeff)
-
-    bad = []
-    for a, b in itertools.product(pool, repeat=2):
-        if a.weaker(b) and not a <= b:
-            bad.append((a, b))
-        diff = b.shuffle_difference(a)
-        if a.weaker(b) != (diff is not None):
-            bad.append((a, b))
-        elif diff is not None and a.shuffle_sum(diff) != b:
-            bad.append((a, b))
-        if not (a + b) <= a.shuffle_sum(b):
-            bad.append((a, b))
-    results.append(
-        _result(
-            "ordinal-pair-laws",
-            bad,
-            f"order extension, difference, sum domination on {len(pool)}² pairs",
-        )
-    )
-
-    bad = []
-    for a in pool:
-        for e in range(max_deg + 2):
-            high, low = a.split(e)
-            if high + low != a or high.shuffle_sum(low) != a:
-                bad.append((a, e))
-    results.append(_result("ordinal-split", bad, "split reconstructs under both sums"))
-
-    small = _ordinals_up_to(2, 2)
-    bad = []
-    for a, b, c in itertools.product(small, repeat=3):
-        if (a + b) + c != a + (b + c):
-            bad.append((a, b, c))
-        if a.shuffle_sum(b).shuffle_sum(c) != a.shuffle_sum(b.shuffle_sum(c)):
-            bad.append((a, b, c))
-    results.append(
-        _result("ordinal-assoc", bad, f"both sums associative on {len(small)}³ triples")
-    )
-    return results
-
-
 # ----------------------------------------------------------------------
-# semi-additivity
+# semi-additivity and submodule monotonicity
 # ----------------------------------------------------------------------
 
 
-def _semiadd_sweep(pairs, tag: str) -> list[CheckResult]:
-    low_bad, high_bad = [], []
+def _exact_sequences(pairs):
+    """0 → I/J → R/J → R/I → 0 with its three lengths."""
     for J, I in pairs:
-        mu = length(MonomialModule.quotient_ring(J))
-        sub = length(MonomialModule(J.n, I, J))
-        quo = length(MonomialModule.quotient_ring(I))
-        if not (quo + sub) <= mu:
-            low_bad.append(_witness_pair(J, I))
-        if not mu <= quo.shuffle_sum(sub):
-            high_bad.append(_witness_pair(J, I))
+        mu, quo = (length(MonomialModule.quotient_ring(K)) for K in (J, I))
+        yield Case(J=J, I=I, mu=mu, sub=length(MonomialModule(J.n, I, J)), quo=quo)
+
+
+def _semiadd(corpus: Corpus) -> list[CheckResult]:
     return [
-        _result(f"semiadd-lower-{tag}", low_bad, f"{len(pairs)} exact sequences"),
-        _result(f"semiadd-upper-{tag}", high_bad, f"{len(pairs)} exact sequences"),
+        record
+        for tag, pairs in corpus.pairs.items()
+        for record in sweep(
+            _exact_sequences(pairs),
+            [
+                (f"semiadd-lower-{tag}", "exact sequences: len R/I + len I/J ≤ len R/J",
+                 lambda c: (c.quo + c.sub) <= c.mu),
+                (f"semiadd-upper-{tag}", "exact sequences: len R/J ≤ len R/I ⊕ len I/J",
+                 lambda c: c.mu <= c.quo.shuffle_sum(c.sub)),
+            ],
+            _pair_text,
+        )
     ]
 
 
-def semiadd_checks(
-    max_vars: int = 3,
-    max_deg: int = 3,
-    seed: int = 0,
-    sample: int = DEFAULT_SAMPLE,
-    **_,
-) -> list[CheckResult]:
-    results = _semiadd_sweep(contained_pairs(all_ideals(2, max_deg)), "2var")
-    if max_vars >= 3:
-        results += _semiadd_sweep(random_contained_pairs(3, sample, seed), "3var")
-    return results
-
-
-# ----------------------------------------------------------------------
-# submodule monotonicity
-# ----------------------------------------------------------------------
-
-
-def _monotone_sweep(pairs, max_deg: int, tag: str) -> CheckResult:
-    bad = []
-    count = 0
+def _sandwiches(pairs, max_deg: int):
+    """Submodules N/J of I/J with N generated over J by up to two monomials."""
     for J, I in pairs:
         M = MonomialModule(J.n, I, J)
-        mu = length(M)
-        for A in sandwich_numerators(J, I, max_deg, 2):
-            count += 1
-            if not length(M.submodule(A)).weaker(mu):
-                bad.append(_witness_pair(J, A))
-    return _result(f"submod-monotone-{tag}", bad, f"{count} sandwiched submodules")
+        for N in sandwich_numerators(J, I, max_deg, 2):
+            yield Case(J=J, I=N, M=M)
 
 
-def submod_checks(
-    max_vars: int = 3,
-    max_deg: int = 3,
-    seed: int = 0,
-    sample: int = DEFAULT_SAMPLE,
-    **_,
-) -> list[CheckResult]:
-    results = [_monotone_sweep(contained_pairs(all_ideals(2, max_deg)), max_deg, "2var")]
-    if max_vars >= 3:
-        results.append(
-            _monotone_sweep(random_contained_pairs(3, sample, seed), max_deg, "3var")
-        )
+# Realization of weaker ordinals is existence-only: the search is
+# best-effort, and a length it misses is skipped, never a refutation.
+CONVERSE_PROBES = ("x^2, x*y", "x*y", "x^2, x*y, y^3", "x")
 
-    # Realization of weaker ordinals is existence-only; the search is
-    # best-effort and a miss is reported, never treated as a refutation.
-    names = ("x", "y")
-    probes = [
-        parse_ideal(t, names)
-        for t in ("x^2, x*y", "x*y", "x^2, x*y, y^3", "x")
-    ]
-    found = missing = 0
-    bad = []
-    for J in probes:
-        M = MonomialModule.quotient_ring(J)
-        mu = length(M)
-        targets = {
-            Ordinal(c)
-            for c in itertools.product(*(range(v + 1) for v in mu.coeffs))
-        }
-        for nu in targets:
-            numerator = find_submodule_with_length(M, nu)
-            if numerator is None:
-                missing += 1
-            else:
-                found += 1
-                if length(M.submodule(numerator)) != nu:
-                    bad.append((J, nu))
-    return results + [
-        _result(
-            "submod-converse-search",
-            bad,
-            f"{found} weaker lengths realized, {missing} not found at bound",
+
+def _weaker_lengths():
+    for text in CONVERSE_PROBES:
+        M = MonomialModule.quotient_ring(parse_ideal(text, ("x", "y")))
+        for coeffs in itertools.product(*(range(v + 1) for v in length(M).coeffs)):
+            nu = Ordinal(coeffs)
+            yield Case(M=M, nu=nu, N=find_submodule_with_length(M, nu))
+
+
+def _submod(corpus: Corpus) -> list[CheckResult]:
+    results = [
+        record
+        for tag, pairs in corpus.pairs.items()
+        for record in sweep(
+            _sandwiches(pairs, corpus.max_deg),
+            [(f"submod-monotone-{tag}", "sandwiched submodules N/J: len N/J ≼ len I/J",
+              lambda c: length(c.M.submodule(c.I)).weaker(length(c.M)))],
+            _pair_text,
         )
     ]
+    return results + sweep(
+        _weaker_lengths(),
+        [("submod-converse-search", "weaker lengths realized by a submodule found at the bound",
+          lambda c: None if c.N is None else length(c.M.submodule(c.N)) == c.nu)],
+        lambda c: f"{_pair_text(c.M)}, length {c.nu}",
+    )
 
 
 # ----------------------------------------------------------------------
@@ -237,164 +229,123 @@ def submod_checks(
 # ----------------------------------------------------------------------
 
 
-def latt_checks(max_deg: int = 3, **_) -> list[CheckResult]:
-    pairs = contained_pairs(all_ideals(2, max_deg))
-    meet_bad, join_bad = [], []
-    strict = None
-    meet_count = join_count = 0
+def _submodule_pairs(pairs, max_deg: int):
+    """Pairs of sandwiched submodules N, N' of each I/J, with their lengths."""
     for J, I in pairs:
         M = MonomialModule(J.n, I, J)
-        mu = length(M)
-        binary_len = mu.is_binary
+        binary = length(M).is_binary
         family = sandwich_numerators(J, I, max_deg, 2)
-        lengths = {A: length(M.submodule(A)) for A in family}
+        lengths = {N: length(M.submodule(N)) for N in family}
         for A, B in itertools.combinations_with_replacement(family, 2):
             la, lb = lengths[A], lengths[B]
-            if binary_len:
-                meet_count += 1
-                if length(M.submodule(intersect(A, B))) != la.meet(lb):
-                    meet_bad.append((_witness_pair(J, I), A, B))
-            join_count += 1
             joined = length(M.submodule(ideal_sum(A, B)))
-            if not la.join(lb).weaker(joined):
-                join_bad.append((_witness_pair(J, I), A, B))
-            elif strict is None and la.join(lb) != joined:
-                names = default_names(J.n)
-                strict = (
-                    f"J=({format_ideal(J, names)}), N=({format_ideal(A, names)}), "
-                    f"N'=({format_ideal(B, names)}): {la} v {lb} = {la.join(lb)} "
-                    f"< {joined}"
-                )
-    results = [
-        _result("latt-meet", meet_bad, f"{meet_count} pairs in binary-length modules"),
-        _result("latt-join-weaker", join_bad, f"{join_count} pairs"),
-    ]
-    if strict is None:
-        results.append(
-            CheckResult("latt-join-strict", False, "no strictly-weaker join found")
-        )
-    else:
-        results.append(CheckResult("latt-join-strict", True, strict))
-    return results
+            yield Case(M=M, A=A, B=B, binary=binary, la=la, lb=lb, join=la.join(lb), joined=joined)
+
+
+def _latt(corpus: Corpus) -> list[CheckResult]:
+    meet, join, equal = sweep(
+        _submodule_pairs(corpus.pairs["2var"], corpus.max_deg),
+        [
+            ("latt-meet", "pairs in binary-length modules: len(N ∩ N') = len N ∧ len N'",
+             lambda c: length(c.M.submodule(intersect(c.A, c.B))) == c.la.meet(c.lb)
+             if c.binary else None),
+            ("latt-join-weaker", "pairs: len N ∨ len N' ≼ len(N + N')",
+             lambda c: c.join.weaker(c.joined)),
+            ("latt-join-equal", "pairs: len N ∨ len N' = len(N + N')",
+             lambda c: c.join == c.joined),
+        ],
+        lambda c: (
+            f"J={_fmt(c.M.J)}, N={_fmt(c.A)}, N'={_fmt(c.B)}: "
+            f"{c.la} v {c.lb} = {c.join}, len(N + N') = {c.joined}"
+        ),
+    )
+    # An existence claim: some join is strictly weaker, so equality fails.
+    shown = equal.evidence.get("witnesses")
+    found = f"strictly weaker join {shown[0]}" if shown else "no strictly weaker join"
+    strict = CheckResult("latt-join-strict", bool(shown), f"{equal.cases} pairs; {found}",
+                         equal.evidence, equal.cases)
+    return [meet, join, strict]
 
 
 # ----------------------------------------------------------------------
-# dimension filtration
+# dimension filtration and localization kernels
 # ----------------------------------------------------------------------
 
 
-def _binary_modules(pairs) -> list[MonomialModule]:
-    out = []
-    for J, I in pairs:
-        M = MonomialModule(J.n, I, J)
-        if not M.is_zero and is_binary_module(M):
-            out.append(M)
-    return out
-
-
-def dimfil_checks(
-    max_vars: int = 3,
-    max_deg: int = 3,
-    seed: int = 0,
-    sample: int = DEFAULT_SAMPLE,
-    **_,
-) -> list[CheckResult]:
-    modules = _binary_modules(contained_pairs(all_ideals(2, max_deg)))
-    if max_vars >= 3:
-        modules += _binary_modules(random_contained_pairs(3, min(sample, 100), seed))
-    low_bad, high_bad, step_bad, order_bad = [], [], [], []
+def _filtrations(modules):
+    """Each module with its levels (e, D_e, numerator of D_(e-1))."""
     for M in modules:
-        mu = length(M)
-        previous = None
-        least_nonzero = None
-        for e in range(M.n + 1):
-            D = dim_filtration(M, e)
-            high, low = mu.split(e)
-            if length(D) != low:
-                low_bad.append((M, e))
-            if length(M.quotient_by(D.I)) != high:
-                high_bad.append((M, e))
-            step = (
-                length(D)
-                if previous is None
-                else length(MonomialModule(M.n, D.I, previous.I))
-            )
-            if step != Ordinal.omega_power(e) * mu.coeff(e):
-                step_bad.append((M, e))
-            if least_nonzero is None and not D.is_zero:
-                least_nonzero = e
-            previous = D
-        if least_nonzero != mu.order:
-            order_bad.append(M)
-    n = len(modules)
-    return [
-        _result("dimfil-low", low_bad, f"length(D_e) = low split over {n} modules"),
-        _result("dimfil-high", high_bad, f"length(M/D_e) = high split over {n} modules"),
-        _result("dimfil-step", step_bad, f"graded pieces are v_e·w^e over {n} modules"),
-        _result("dimfil-order", order_bad, f"first nonzero level is the order, {n} modules"),
-    ]
+        filtration = [dim_filtration(M, e) for e in range(M.n + 1)]
+        below = [M.J] + [D.I for D in filtration]
+        yield Case(M=M, mu=length(M), levels=list(zip(itertools.count(), filtration, below)))
 
 
-# ----------------------------------------------------------------------
-# localization kernels
-# ----------------------------------------------------------------------
+def _dimfil(corpus: Corpus) -> list[CheckResult]:
+    return sweep(
+        _filtrations(corpus.binary_modules),
+        [
+            ("dimfil-low", "binary modules: len D_e is the low part of len M split at e",
+             lambda c: all(length(D) == c.mu.split(e)[1] for e, D, _ in c.levels)),
+            ("dimfil-high", "binary modules: len M/D_e is the high part of len M split at e",
+             lambda c: all(length(c.M.quotient_by(D.I)) == c.mu.split(e)[0]
+                           for e, D, _ in c.levels)),
+            ("dimfil-step", "binary modules: len D_e/D_(e-1) = v_e·ω^e",
+             lambda c: all(length(MonomialModule(c.M.n, D.I, K))
+                           == Ordinal.omega_power(e) * c.mu.coeff(e) for e, D, K in c.levels)),
+            ("dimfil-order", "binary modules: the first nonzero D_e is at the order of len M",
+             lambda c: next((e for e, D, _ in c.levels if not D.is_zero), None) == c.mu.order),
+        ],
+        lambda c: _pair_text(c.M),
+    )
 
 
-def primmin_checks(
-    max_vars: int = 3,
-    max_deg: int = 3,
-    seed: int = 0,
-    sample: int = DEFAULT_SAMPLE,
-    **_,
-) -> list[CheckResult]:
-    modules = _binary_modules(contained_pairs(all_ideals(2, max_deg)))
-    if max_vars >= 3:
-        modules += _binary_modules(random_contained_pairs(3, min(sample, 100), seed))
-    ass_bad, sum_bad = [], []
-    count = 0
+def _prim_kernels(modules):
     for M in modules:
         primes = ass(M)
         for P in primes:
-            count += 1
             K = prim_kernel(M, P)
-            quotient = M.quotient_by(K.I)
-            expected = {q for q in primes if P.contains(q)}
-            if set(ass(quotient)) != expected:
-                ass_bad.append((M, P))
-            if length(K).shuffle_sum(length(quotient)) != length(M):
-                sum_bad.append((M, P))
-    return [
-        _result("primmin-ass", ass_bad, f"Ass(M/prim) = primes under P, {count} cases"),
-        _result("primmin-sum", sum_bad, f"len(prim) ⊕ len(M/prim) = len M, {count} cases"),
-    ]
+            yield Case(M=M, P=P, primes=primes, K=K, quotient=M.quotient_by(K.I))
 
 
-def maxassopen_checks(max_deg: int = 3, **_) -> list[CheckResult]:
-    open_bad, agree_bad = [], []
-    count = 0
-    for J in all_ideals(2, max_deg):
+def _primmin(corpus: Corpus) -> list[CheckResult]:
+    return sweep(
+        _prim_kernels(corpus.binary_modules),
+        [
+            ("primmin-ass", "(module, associated prime P) cases: Ass(M/prim) = primes under P",
+             lambda c: set(ass(c.quotient)) == {q for q in c.primes if c.P.contains(q)}),
+            ("primmin-sum", "(module, associated prime P) cases: len prim ⊕ len M/prim = len M",
+             lambda c: length(c.K).shuffle_sum(length(c.quotient)) == length(c.M)),
+        ],
+        lambda c: f"{_pair_text(c.M)}, P={c.P.to_text(default_names(c.M.n))}",
+    )
+
+
+def _maximal_embedded_primes(ideals):
+    """Each binary R/J with a prime P maximal among its embedded primes."""
+    for J in ideals:
         if J.is_unit:
             continue
         M = MonomialModule.quotient_ring(J)
         if not is_binary_module(M):
             continue
         primes = ass(M)
-        embedded = [
-            p for p in primes if any(q != p and p.contains(q) for q in primes)
-        ]
+        embedded = [p for p in primes if any(q != p and p.contains(q) for q in primes)]
         for P in embedded:
-            if any(q != P and q.contains(P) for q in embedded):
-                continue  # not maximal among the embedded primes
-            count += 1
-            numerator = ideal_sum(ideal_of_prime(P), J)
-            if not is_open_submodule(M, numerator):
-                open_bad.append((J, P))
-            if open_via_witnesses(M, numerator) != is_open_submodule(M, numerator):
-                agree_bad.append((J, P))
-    return [
-        _result("maxassopen-open", open_bad, f"{count} maximal embedded primes open"),
-        _result("maxassopen-witness-agree", agree_bad, "witness and length tests agree"),
-    ]
+            if not any(q != P and q.contains(P) for q in embedded):
+                yield Case(J=J, P=P, M=M, numerator=ideal_sum(ideal_of_prime(P), J))
+
+
+def _maxassopen(corpus: Corpus) -> list[CheckResult]:
+    return sweep(
+        _maximal_embedded_primes(corpus.ideals),
+        [
+            ("maxassopen-open", "maximal embedded primes P of R/J: (P + J)/J is open",
+             lambda c: is_open_submodule(c.M, c.numerator)),
+            ("maxassopen-witness-agree", "maximal embedded primes: witness and length tests agree",
+             lambda c: open_via_witnesses(c.M, c.numerator) == is_open_submodule(c.M, c.numerator)),
+        ],
+        lambda c: f"J={_fmt(c.J)}, P={c.P.to_text(default_names(c.J.n))}",
+    )
 
 
 # ----------------------------------------------------------------------
@@ -402,12 +353,9 @@ def maxassopen_checks(max_deg: int = 3, **_) -> list[CheckResult]:
 # ----------------------------------------------------------------------
 
 
-def multendo_checks(max_deg: int = 3, **_) -> list[CheckResult]:
-    pairs = contained_pairs(all_ideals(2, max_deg))
+def _multiplications(pairs):
+    """Multiplication by each monomial of degree 1 or 2 on each nonzero I/J."""
     multipliers = [m for m in monomials_of_degree_at_most(2, 2) if m.degree >= 1]
-    weaker_bad, rk_ineq_bad, open_bad, keropen_bad = [], [], [], []
-    binnil_bad, redpow_bad, redrk_bad, unmixed_bad = [], [], [], []
-    count = 0
     for J, I in pairs:
         M = MonomialModule(J.n, I, J)
         if M.is_zero:
@@ -416,150 +364,137 @@ def multendo_checks(max_deg: int = 3, **_) -> list[CheckResult]:
         binary = is_binary_module(M)
         unmixed = len({p.dim for p in ass(M)}) == 1
         for r in multipliers:
-            count += 1
             a = mult_endo(M, r)
-            if not (a.kappa.weaker(mu) and a.theta.weaker(mu)):
-                weaker_bad.append((_witness_pair(J, I), r))
-            if not ((a.theta + a.kappa) <= mu <= a.theta.shuffle_sum(a.kappa)):
-                rk_ineq_bad.append((_witness_pair(J, I), r))
-            if a.monic != a.open_image:
-                open_bad.append((_witness_pair(J, I), r))
-            kernel_open = a.kappa == mu
-            if kernel_open and not a.nilpotent:
-                keropen_bad.append((_witness_pair(J, I), r))
-            if a.reductive_power > mu.valence:
-                redpow_bad.append((_witness_pair(J, I), r))
-            if binary:
-                v = mu.valence
-                if a.nilpotent and not kernel_open:
-                    keropen_bad.append((_witness_pair(J, I), r))
-                if a.nilpotent and not contains(colon_mono(J, r.pow(v)), I):
-                    binnil_bad.append((_witness_pair(J, I), r))
-            powered = mult_endo(M, r.pow(a.reductive_power))
-            if not powered.satisfies_rank_nullity:
-                redrk_bad.append((_witness_pair(J, I), r))
-            if unmixed and not a.satisfies_rank_nullity:
-                unmixed_bad.append((_witness_pair(J, I), r))
-    return [
-        _result("multendo-weaker", weaker_bad, f"kernel/image weaker, {count} analyses"),
-        _result("multendo-rank-nullity-bounds", rk_ineq_bad, "θ+κ ≤ μ ≤ θ⊕κ"),
-        _result("multendo-monic-open", open_bad, "monic exactly when image open"),
-        _result("multendo-kernel-open-nil", keropen_bad, "kernel open ⟺ nilpotent (binary ⇒)"),
-        _result("multendo-binary-nil-power", binnil_bad, "nilpotent ⇒ r^valence kills"),
-        _result("multendo-reductive-bound", redpow_bad, "reductive power ≤ valence"),
-        _result("multendo-reductive-rank-nullity", redrk_bad, "equality at the reductive power"),
-        _result("multendo-unmixed-rank-nullity", unmixed_bad, "unmixed ⇒ equality for all r"),
-    ]
+            yield Case(J=J, I=I, M=M, r=r, mu=mu, binary=binary, unmixed=unmixed, a=a,
+                       kernel_open=a.kappa == mu)
+
+
+def _multendo(corpus: Corpus) -> list[CheckResult]:
+    return sweep(
+        _multiplications(corpus.pairs["2var"]),
+        [
+            ("multendo-weaker", "maps: kernel and image lengths ≼ μ",
+             lambda c: c.a.kappa.weaker(c.mu) and c.a.theta.weaker(c.mu)),
+            ("multendo-rank-nullity-bounds", "maps: θ+κ ≤ μ ≤ θ⊕κ",
+             lambda c: (c.a.theta + c.a.kappa) <= c.mu <= c.a.theta.shuffle_sum(c.a.kappa)),
+            ("multendo-monic-open", "maps: monic exactly when the image is open",
+             lambda c: c.a.monic == c.a.open_image),
+            ("multendo-kernel-open-nil", "maps: kernel open ⇒ nilpotent, ⟺ on binary modules",
+             lambda c: c.a.nilpotent == c.kernel_open if c.binary
+             else c.a.nilpotent or not c.kernel_open),
+            ("multendo-binary-nil-power", "maps on binary modules: nilpotent ⇒ r^valence kills",
+             lambda c: not c.a.nilpotent or contains(colon_mono(c.J, c.r.pow(c.mu.valence)), c.I)
+             if c.binary else None),
+            ("multendo-reductive-bound", "maps: reductive power ≤ valence",
+             lambda c: c.a.reductive_power <= c.mu.valence),
+            ("multendo-reductive-rank-nullity", "maps: rank-nullity at the reductive power",
+             lambda c: mult_endo(c.M, c.r.pow(c.a.reductive_power)).satisfies_rank_nullity),
+            ("multendo-unmixed-rank-nullity", "maps on unmixed modules: rank-nullity for all r",
+             lambda c: c.a.satisfies_rank_nullity if c.unmixed else None),
+        ],
+        lambda c: f"{_pair_text(c)}, r={c.r.to_text(default_names(c.J.n))}",
+    )
 
 
 # ----------------------------------------------------------------------
 # the finite oracle
 # ----------------------------------------------------------------------
 
-
-def _max_ideal_power(n: int, k: int) -> MonomialIdeal:
-    gens = [
-        Monomial(e)
-        for e in itertools.product(*(range(k + 1) for _ in range(n)))
-        if sum(e) == k
-    ]
-    return MonomialIdeal(n, tuple(gens))
+ORACLE_QUOTIENTS = ("x, y", "x^2, x*y, y^2", "x^2, y^2", "x^2, x*y, y^3", "x^3, x*y, y^3")
+# R/(x^2, x*y, y^2) has 6 submodules over F₂: zero, the three lines of
+# its socle (x, y), the socle itself and the whole module.
+SUBMODULE_COUNTS = {"x^2, x*y, y^2": 6}
 
 
-def oracle_artinian_checks(
-    max_vars: int = 3, seed: int = 0, **_
-) -> list[CheckResult]:
-    results = []
+def _sampled_artinian(seed: int):
+    rng = random.Random(seed)
+    for _ in range(10):
+        yield ideal_sum(random_ideal(rng, 3, 2), max_ideal_power(3, 3))
 
-    bad = []
-    ideals = artinian_ideals_containing_power(2, 4)
-    for J in ideals:
-        fm = FiniteModule.from_quotient(J)
-        mu = length(MonomialModule.quotient_ring(J))
-        if longest_chain(fm) != fm.dim or mu != Ordinal.finite(fm.dim):
-            bad.append(J)
-    results.append(
-        _result("oracle-chain-2var", bad, f"all {len(ideals)} ideals above the 4th power")
-    )
 
-    if max_vars >= 3:
-        rng = random.Random(seed)
-        bad = []
-        for _ in range(10):
-            J = ideal_sum(random_ideal(rng, 3, 2), _max_ideal_power(3, 3))
-            fm = FiniteModule.from_quotient(J)
-            mu = length(MonomialModule.quotient_ring(J))
-            if longest_chain(fm) != fm.dim or mu != Ordinal.finite(fm.dim):
-                bad.append(J)
-        results.append(_result("oracle-chain-3var", bad, "10 sampled Artinian ideals"))
+def _chain_agrees(J: MonomialIdeal) -> bool:
+    """The F₂ longest chain, the dimension and the symbolic length agree."""
+    fm = FiniteModule.from_quotient(J)
+    mu = length(MonomialModule.quotient_ring(J))
+    return longest_chain(fm) == fm.dim and mu == Ordinal.finite(fm.dim)
 
-    names = ("x", "y")
-    small = [
-        parse_ideal(t, names)
-        for t in ("x, y", "x^2, x*y, y^2", "x^2, y^2", "x^2, x*y, y^3", "x^3, x*y, y^3")
-    ]
 
-    bad = []
-    m2 = FiniteModule.from_quotient(small[1])
-    if len(enumerate_submodules(m2)) != 6:
-        bad.append(small[1])
-    for J in small:
-        fm = FiniteModule.from_quotient(J)
-        dims = {len(b) for b in enumerate_submodules(fm)}
-        if dims != set(range(fm.dim + 1)):
-            bad.append(J)
-    results.append(
-        _result("oracle-submodule-realization", bad, "every dimension below len realized")
-    )
+def _realizes_every_dimension(text: str) -> bool:
+    fm = FiniteModule.from_quotient(parse_ideal(text, ("x", "y")))
+    subs = enumerate_submodules(fm)
+    return {len(b) for b in subs} == set(range(fm.dim + 1)) and SUBMODULE_COUNTS.get(
+        text, len(subs)
+    ) == len(subs)
 
-    bad = []
-    for J in small:
-        fm = FiniteModule.from_quotient(J)
+
+def _small_endos():
+    for text in ORACLE_QUOTIENTS:
+        fm = FiniteModule.from_quotient(parse_ideal(text, ("x", "y")))
         if fm.dim > 4:
             continue
         subs = enumerate_submodules(fm)
         for table in enumerate_endos(fm):
-            k = 1
-            while endo_kernel(endo_power(fm, table, k)) != endo_kernel(
-                endo_power(fm, table, k + 1)
-            ):
-                k += 1
-            stable = endo_power(fm, table, k)
-            ker, img = endo_kernel(stable), endo_image(stable)
-            if intersect_spans(ker, img):
-                bad.append((J, table, "reductive power not reductive"))
-            if len(ker) + len(img) != fm.dim:
-                bad.append((J, table, "rank-nullity"))
-            kernel1 = endo_kernel(table)
-            essential = all(
-                not s or intersect_spans(kernel1, s) for s in subs
-            )
-            nilpotent = all(v == 0 for v in endo_power(fm, table, fm.dim))
-            if essential and not nilpotent:
-                bad.append((J, table, "essential kernel not nilpotent"))
-    results.append(
-        _result("oracle-endo-theorems", bad, "reductive powers, rank-nullity, essential kernels")
+            yield Case(text=text, fm=fm, subs=subs, table=table)
+
+
+def _endo_theorems(c) -> bool:
+    """Reductive powers, rank-nullity there, and essential kernels nilpotent."""
+    fm, table = c.fm, c.table
+    k = 1
+    while endo_kernel(endo_power(fm, table, k)) != endo_kernel(endo_power(fm, table, k + 1)):
+        k += 1
+    stable = endo_power(fm, table, k)
+    ker, img = endo_kernel(stable), endo_image(stable)
+    kernel1 = endo_kernel(table)
+    essential = all(not s or intersect_spans(kernel1, s) for s in c.subs)
+    nilpotent = all(v == 0 for v in endo_power(fm, table, fm.dim))
+    return (
+        not intersect_spans(ker, img)
+        and len(ker) + len(img) == fm.dim
+        and (nilpotent or not essential)
     )
 
-    simple = FiniteModule.from_quotient(parse_ideal("x, y", names))
-    schur = all(
-        table == (1,) or table == (0,) for table in enumerate_endos(simple)
-    ) and (1,) in enumerate_endos(simple)
-    results.append(
-        CheckResult("oracle-schur", schur, "endomorphisms of a simple module are scalars")
+
+def _oracle_artinian(corpus: Corpus) -> list[CheckResult]:
+    chain_what = "ideals above the 4th power: F₂ longest chain = dimension = length"
+    results = sweep(
+        artinian_ideals_containing_power(2, 4), [("oracle-chain-2var", chain_what, _chain_agrees)],
+        _fmt,
     )
-    return results
+    if corpus.max_vars >= 3:
+        results += sweep(
+            _sampled_artinian(corpus.seed),
+            [("oracle-chain-3var", "sampled Artinian ideals in 3 variables: "
+              "F₂ longest chain = dimension = length", _chain_agrees)],
+            _fmt,
+        )
+    return results + [
+        *sweep(
+            ORACLE_QUOTIENTS,
+            [("oracle-submodule-realization", "small quotients R/J: "
+              "every dimension up to the length realized", _realizes_every_dimension)],
+        ),
+        *sweep(
+            _small_endos(),
+            [("oracle-endo-theorems", "F₂ endomorphisms: reductive powers, rank-nullity, "
+              "essential kernels nilpotent", _endo_theorems)],
+            lambda c: f"J=({c.text}), table={c.table}",
+        ),
+        *sweep(
+            [FiniteModule.from_quotient(parse_ideal("x, y", ("x", "y")))],
+            [("oracle-schur", "simple module R/(x, y): its endomorphisms are the scalars",
+              lambda fm: set(enumerate_endos(fm)) == {(0,), (1,)})],
+        ),
+    ]
 
 
-def endo_fixture_checks(truncation: int | None = None, seed: int = 0, **_) -> list[CheckResult]:
-    orders = [truncation] if truncation else [4, 8]
-    results = []
-    for N in orders:
-        for r in check_endo_fixture(N, seed=seed):
-            results.append(
-                CheckResult(f"{r.name}-N{N}", r.passed, r.detail, r.evidence)
-            )
-    return results
+def _endo_fixture(corpus: Corpus) -> list[CheckResult]:
+    orders = [corpus.truncation] if corpus.truncation else [4, 8]
+    return [
+        replace(r, name=f"{r.name}-N{N}")
+        for N in orders
+        for r in check_endo_fixture(N, seed=corpus.seed)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -567,26 +502,33 @@ def endo_fixture_checks(truncation: int | None = None, seed: int = 0, **_) -> li
 # ----------------------------------------------------------------------
 
 SUITES = {
-    "ordinal": ordinal_checks,
-    "semiadd": semiadd_checks,
-    "submod": submod_checks,
-    "latt": latt_checks,
-    "dimfil": dimfil_checks,
-    "primmin": primmin_checks,
-    "maxassopen": maxassopen_checks,
-    "multendo": multendo_checks,
-    "oracle-artinian": oracle_artinian_checks,
-    "endo-fixture": endo_fixture_checks,
+    "ordinal": _ordinal,
+    "semiadd": _semiadd,
+    "submod": _submod,
+    "latt": _latt,
+    "dimfil": _dimfil,
+    "primmin": _primmin,
+    "maxassopen": _maxassopen,
+    "multendo": _multendo,
+    "oracle-artinian": _oracle_artinian,
+    "endo-fixture": _endo_fixture,
 }
+OPTIONS = tuple(f.name for f in fields(Corpus))
 
 
 def run_suites(names: list[str], **options) -> list[CheckResult]:
+    """Run the named suites, or every suite for "all", over one corpus.
+
+    The options are those of ``ordlen check``: max_vars, max_deg, seed,
+    sample and truncation.  An unknown suite or option raises ValueError.
+    """
     if "all" in names:
         names = list(SUITES)
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise ValueError(f"unknown check suite(s): {', '.join(unknown)}")
-    results = []
-    for name in names:
-        results.extend(SUITES[name](**options))
-    return results
+    unknown = [k for k in options if k not in OPTIONS]
+    if unknown:
+        raise ValueError(f"unknown check option(s): {', '.join(unknown)}")
+    corpus = Corpus(**options)
+    return [r for name in names for r in SUITES[name](corpus)]

@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .checks import run_suites
+from .checks import OPTIONS, Corpus, run_suites
 from .cycles import MonomialPrime
 from .errors import GuardError, ParseError
 from .modules import (
@@ -225,14 +225,7 @@ def _cmd_endo(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    results = run_suites(
-        args.suites,
-        max_vars=args.max_vars,
-        max_deg=args.max_deg,
-        seed=args.seed,
-        sample=args.sample,
-        truncation=args.truncation,
-    )
+    results = run_suites(args.suites, **{k: getattr(args, k) for k in OPTIONS})
     print(render_results(results, args.format))
     return 0 if all_passed(results) else 1
 
@@ -271,11 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check")
     p.add_argument("suites", nargs="+", help="suite names or 'all'")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--max-vars", type=int, default=3, dest="max_vars")
-    p.add_argument("--max-deg", type=int, default=3, dest="max_deg")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sample", type=int, default=500)
-    p.add_argument("--truncation", type=int, default=None)
+    for name in OPTIONS:
+        p.add_argument("--" + name.replace("_", "-"), type=int, default=getattr(Corpus, name))
     p.set_defaults(fn=_cmd_check)
     return parser
 

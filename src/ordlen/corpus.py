@@ -84,19 +84,18 @@ def artinian_ideals_containing_power(n: int, k: int = 4) -> list[MonomialIdeal]:
         e: [f for f in box if f != e and all(fi <= ei for fi, ei in zip(f, e))]
         for e in box
     }
-    power = MonomialIdeal(
-        n,
-        tuple(
-            Monomial(e)
-            for e in itertools.product(*(range(k + 1) for _ in range(n)))
-            if sum(e) == k
-        ),
-    )
+    power = max_ideal_power(n, k)
     out = []
     for keep in _down_closed_subsets(box, below):
         gens = [Monomial(e) for e in box if e not in keep]
         out.append(ideal_sum(power, MonomialIdeal(n, tuple(gens))))
     return out
+
+
+def max_ideal_power(n: int, k: int) -> MonomialIdeal:
+    """The k-th power of the maximal ideal (x_1, …, x_n)."""
+    gens = [Monomial(e) for e in itertools.product(range(k + 1), repeat=n) if sum(e) == k]
+    return MonomialIdeal(n, tuple(gens))
 
 
 def _down_closed_subsets(box, below):

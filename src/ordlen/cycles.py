@@ -146,11 +146,6 @@ class Cycle:
         return all(c <= 1 for _, c in self.terms)
 
     @property
-    def is_effective(self) -> bool:
-        """Always true: coefficients are naturals by construction."""
-        return True
-
-    @property
     def valence(self) -> int:
         return sum(c for _, c in self.terms)
 

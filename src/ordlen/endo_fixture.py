@@ -34,11 +34,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .reporting import CheckResult
+from .modules import MonomialModule, length
+from .monomial import parse_ideal
+from .ordinal import Ordinal
+from .reporting import CheckResult, sweep
 
 Scalar = int | Fraction
 
 DEFAULT_TRUNCATION = 8
+# the box of the coefficient grid, and the sample count of the cubic laws
+GRID_LO, GRID_HI = -2, 2
+RING_LAW_SAMPLES = 200
 
 
 def poly_mul(p: Sequence[Scalar], q: Sequence[Scalar], order: int) -> tuple[Scalar, ...]:
@@ -159,14 +165,6 @@ def is_monic(f: EndoTriple) -> bool:
     return f.u != 0 and any(f.p)
 
 
-def classify(f: EndoTriple) -> str:
-    if is_nilpotent(f):
-        return "nilpotent"
-    if is_bijective(f):
-        return "bijective"
-    return "other"
-
-
 def invert(f: EndoTriple) -> EndoTriple:
     if not is_bijective(f):
         raise ValueError("only bijective triples (u ≠ 0, p(0) ≠ 0) are invertible")
@@ -175,44 +173,19 @@ def invert(f: EndoTriple) -> EndoTriple:
     return EndoTriple(u, -Fraction(f.v) / (f.u * f.p[0]), q)
 
 
-def kernel_is_open(f: EndoTriple) -> bool:
-    """Whether ker f has the same transfinite length (ω + 1) as M.
-
-    Case analysis on (u, p): the kernel is M itself (zero map),
-    (x, y²)/(x², xy) for a nonzero nilpotent (length ω + 1), the socle
-    line K·x when u = 0 ≠ p (length 1), a single polynomial stream when
-    p = 0 ≠ u (length ω), and zero when f is monic.  Open happens
-    exactly in the nilpotent cases.
-    """
-    return is_nilpotent(f)
-
-
-def kernel_description(f: EndoTriple) -> str:
-    if f.is_zero():
-        return "M"
-    if is_nilpotent(f):
-        return "(x, y^2)"
-    if f.u == 0:
-        return "K*x"
-    if not any(f.p):
-        return "one polynomial stream"
-    return "0"
-
-
 # ----------------------------------------------------------------------
 # the exhaustive / randomized law suite
 # ----------------------------------------------------------------------
 
 
-def _grid(order: int, lo: int = -2, hi: int = 2) -> list[EndoTriple]:
+def _grid(order: int) -> list[EndoTriple]:
     """Triples with u, v and the two lowest p-coefficients ranging over
     a small box; higher p-coefficients stay zero so the grid stays
     quadratic-law sized."""
     tail = (0,) * (order - 2)
-    rng = range(lo, hi + 1)
+    box = range(GRID_LO, GRID_HI + 1)
     return [
-        EndoTriple(u, v, (c0, c1) + tail)
-        for u, v, c0, c1 in itertools.product(rng, rng, rng, rng)
+        EndoTriple(u, v, (c0, c1) + tail) for u, v, c0, c1 in itertools.product(box, repeat=4)
     ]
 
 
@@ -224,154 +197,96 @@ def _random_triple(rng: random.Random, order: int) -> EndoTriple:
     )
 
 
-def check_endo_fixture(
-    order: int = DEFAULT_TRUNCATION,
-    lo: int = -2,
-    hi: int = 2,
-    seed: int = 0,
-    samples: int = 200,
-) -> list[CheckResult]:
+def _inverts(f: EndoTriple, ident: EndoTriple) -> bool:
+    g = invert(f)
+    return endo_compose(f, g) == ident == endo_compose(g, f)
+
+
+def _absorbed(f: EndoTriple, n: EndoTriple, n0: EndoTriple) -> bool:
+    """f·n and n·f are nilpotent, and so is the difference n − n0."""
+    return (
+        is_nilpotent(endo_compose(f, n))
+        and is_nilpotent(endo_compose(n, f))
+        and is_nilpotent(endo_sub(n, n0))
+    )
+
+
+def _ring_laws(a: EndoTriple, b: EndoTriple, c: EndoTriple) -> bool:
+    """Associativity and both distributive laws."""
+    return (
+        endo_compose(endo_compose(a, b), c) == endo_compose(a, endo_compose(b, c))
+        and endo_compose(a, endo_add(b, c)) == endo_add(endo_compose(a, b), endo_compose(a, c))
+        and endo_compose(endo_add(a, b), c) == endo_add(endo_compose(a, c), endo_compose(b, c))
+    )
+
+
+def _nil_kernel_is_open(kernel: str, module: str, denominator: str) -> bool:
+    """The kernel has the length ω + 1 of the whole module."""
+    names = ("x", "y")
+    J = parse_ideal(denominator, names)
+    return (
+        length(MonomialModule(2, parse_ideal(kernel, names), J))
+        == length(MonomialModule(2, parse_ideal(module, names), J))
+        == Ordinal.parse("w + 1")
+    )
+
+
+def check_endo_fixture(order: int = DEFAULT_TRUNCATION, seed: int = 0) -> list[CheckResult]:
     """Every ring-theoretic claim about the (u, v, p) fixture, checked
     exhaustively on the coefficient grid and sampled for the cubic laws."""
     if order < 4:
         raise ValueError("truncation order must be at least 4")
-    results: list[CheckResult] = []
-    grid = _grid(order, lo, hi)
+    grid = _grid(order)
     ident = EndoTriple.identity(order)
-    zero = EndoTriple.zero(order)
-
-    def record(name: str, bad: EndoTriple | tuple | None, detail: str):
-        if bad is None:
-            results.append(CheckResult(name, True, detail))
-        else:
-            results.append(
-                CheckResult(name, False, f"witness: {bad}", {"witness": str(bad)})
-            )
-
-    bad = next(
-        (
-            f
-            for f in grid
-            if endo_compose(f, ident) != f or endo_compose(ident, f) != f
-        ),
-        None,
-    )
-    record("endo-identity", bad, f"two-sided identity on {len(grid)} triples")
-
-    bad = next((f for f in grid if is_nilpotent(f) != endo_power(f, 2).is_zero()), None)
-    record("endo-nilpotent-square", bad, "nilpotent ⟺ f² = 0 on the grid")
-
-    bad = None
-    for f in grid:
-        if not is_bijective(f):
-            continue
-        g = invert(f)
-        if endo_compose(f, g) != ident or endo_compose(g, f) != ident:
-            bad = f
-            break
-    record("endo-bijective-inverse", bad, "u≠0, p(0)≠0 triples invert two-sidedly")
-
     nilpotents = [f for f in grid if is_nilpotent(f)]
-    bad = next(
-        (
-            (f, n)
-            for n in nilpotents
-            for f in grid
-            if not is_nilpotent(endo_compose(f, n))
-            or not is_nilpotent(endo_compose(n, f))
-            or not is_nilpotent(endo_add(n, endo_neg(nilpotents[0])))
-        ),
-        None,
-    )
-    record("endo-nil-ideal", bad, "nilpotents absorb composition both sides")
-
-    bad = next(
-        (
-            (a, b)
-            for a in nilpotents
-            for b in nilpotents
-            if not endo_compose(a, b).is_zero()
-        ),
-        None,
-    )
-    record("endo-nil-square-zero", bad, "product of any two nilpotents vanishes")
-
-    bad = None
-    for f, g in itertools.combinations(grid, 2):
-        if not is_nilpotent(commutator(f, g)):
-            bad = (f, g)
-            break
-    record(
-        "endo-commutators-nil",
-        bad,
-        f"all commutators over {len(grid)} triples lie in the nil ideal",
-    )
-
-    f = EndoTriple(0, 1, (0,) * order)
-    g = EndoTriple(2, 0, (1,) + (0,) * (order - 1))
-    c = commutator(f, g)
-    record(
-        "endo-noncommutative",
-        None if (not c.is_zero() and is_nilpotent(c)) else (f, g),
-        f"nonzero commutator witness {c}",
-    )
-
-    bad = next(
-        (
-            (f, n)
-            for f in grid
-            if is_monic(f)
-            for n in nilpotents
-            if not is_monic(endo_add(f, n))
-        ),
-        None,
-    )
-    record("endo-monic-plus-nil", bad, "monic + nilpotent stays monic")
-
-    bad = None
-    for c_unit in range(lo, hi + 1):
-        if c_unit == 0:
-            continue
-        central = EndoTriple(c_unit, 0, (c_unit,) + (0,) * (order - 1))
-        for n in nilpotents:
-            s = endo_add(central, n)
-            if not is_bijective(s):
-                bad = s
-                break
-    record("endo-central-unit-plus-nil", bad, "central unit + nilpotent invertible")
-
-    bad = next((f for f in grid if kernel_is_open(f) != is_nilpotent(f)), None)
-    record("endo-kernel-open-iff-nil", bad, "kernel open exactly for nilpotents")
-
+    units = [
+        EndoTriple(c, 0, (c,) + (0,) * (order - 1)) for c in range(GRID_LO, GRID_HI + 1) if c
+    ]
     rng = random.Random(seed)
-    bad = None
-    for _ in range(samples):
-        a, b, c = (_random_triple(rng, order) for _ in range(3))
-        if endo_compose(endo_compose(a, b), c) != endo_compose(a, endo_compose(b, c)):
-            bad = (a, b, c)
-            break
-        if endo_compose(a, endo_add(b, c)) != endo_add(
-            endo_compose(a, b), endo_compose(a, c)
-        ):
-            bad = (a, b, c)
-            break
-        if endo_compose(endo_add(a, b), c) != endo_add(
-            endo_compose(a, c), endo_compose(b, c)
-        ):
-            bad = (a, b, c)
-            break
-    record(
-        "endo-ring-laws",
-        bad,
-        f"associativity and distributivity on {samples} random triples",
+    samples = (
+        tuple(_random_triple(rng, order) for _ in range(3)) for _ in range(RING_LAW_SAMPLES)
     )
-
-    bad = next(
-        (f for f in grid if is_nilpotent(f) and not f.is_zero()
-         and kernel_description(f) != "(x, y^2)"),
-        None,
-    )
-    record("endo-nil-kernel", bad, "nonzero nilpotents all have kernel (x, y²)")
-
-    assert zero.is_zero()
-    return results
+    noncommuting = (EndoTriple(0, 1, (0,) * order), EndoTriple(2, 0, (1,) + (0,) * (order - 1)))
+    return [
+        *sweep(grid, [
+            ("endo-identity", "triples: two-sided identity",
+             lambda f: endo_compose(f, ident) == f == endo_compose(ident, f)),
+            ("endo-nilpotent-square", "triples: nilpotent ⟺ f² = 0",
+             lambda f: is_nilpotent(f) == endo_power(f, 2).is_zero()),
+            ("endo-bijective-inverse", "triples with u≠0, p(0)≠0: invert two-sidedly",
+             lambda f: _inverts(f, ident) if is_bijective(f) else None),
+        ]),
+        *sweep(((f, n) for n in nilpotents for f in grid), [
+            ("endo-nil-ideal", "(triple, nilpotent) pairs: nilpotents absorb composition "
+             "both sides and are closed under difference",
+             lambda fn: _absorbed(*fn, nilpotents[0])),
+        ]),
+        *sweep(itertools.product(nilpotents, repeat=2), [
+            ("endo-nil-square-zero", "nilpotent pairs: the product vanishes",
+             lambda ab: endo_compose(*ab).is_zero()),
+        ]),
+        *sweep(itertools.combinations(grid, 2), [
+            ("endo-commutators-nil", "triple pairs: the commutator lies in the nil ideal",
+             lambda fg: is_nilpotent(commutator(*fg))),
+        ]),
+        *sweep([noncommuting], [
+            ("endo-noncommutative", "witness pair: the commutator is nonzero and nilpotent",
+             lambda fg: not commutator(*fg).is_zero() and is_nilpotent(commutator(*fg))),
+        ]),
+        *sweep(((f, n) for f in grid if is_monic(f) for n in nilpotents), [
+            ("endo-monic-plus-nil", "(monic, nilpotent) pairs: the sum stays monic",
+             lambda fn: is_monic(endo_add(*fn))),
+        ]),
+        *sweep(itertools.product(units, nilpotents), [
+            ("endo-central-unit-plus-nil", "(central unit, nilpotent) pairs: the sum inverts",
+             lambda cn: is_bijective(endo_add(*cn))),
+        ]),
+        *sweep(samples, [
+            ("endo-ring-laws", "random triples: associativity and distributivity",
+             lambda abc: _ring_laws(*abc)),
+        ]),
+        *sweep([("x, y^2", "x, y", "x^2, x*y")], [
+            ("endo-nil-kernel-open", "kernel (x, y²)/(x², xy) of a nonzero nilpotent: "
+             "length ω + 1, that of M", lambda t: _nil_kernel_is_open(*t)),
+        ]),
+    ]

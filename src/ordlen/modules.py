@@ -25,6 +25,7 @@ from .errors import GuardError
 from .monomial import (
     Monomial,
     MonomialIdeal,
+    colon_ideal,
     colon_mono,
     contains,
     h0_count,
@@ -188,10 +189,8 @@ def ass(module: MonomialModule) -> tuple[MonomialPrime, ...]:
 
 
 def annihilator(module: MonomialModule) -> MonomialIdeal:
-    """The annihilator ideal (J : I)."""
-    if module.I.is_zero:
-        raise ValueError("the zero numerator has unit annihilator; nothing to colon")
-    return reduce(intersect, (colon_mono(module.J, g) for g in module.I.gens))
+    """The annihilator ideal (J : I); a zero numerator raises ValueError."""
+    return colon_ideal(module.J, module.I)
 
 
 def profile(module: MonomialModule) -> ModuleProfile:

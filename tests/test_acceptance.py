@@ -10,16 +10,7 @@ import time
 
 import numpy as np
 
-from ordlen.checks import (
-    dimfil_checks,
-    latt_checks,
-    maxassopen_checks,
-    multendo_checks,
-    ordinal_checks,
-    primmin_checks,
-    semiadd_checks,
-    submod_checks,
-)
+from ordlen.checks import run_suites
 from ordlen.corpus import artinian_ideals_containing_power
 from ordlen.cycles import Cycle, MonomialPrime
 from ordlen.endo_fixture import check_endo_fixture
@@ -101,7 +92,7 @@ def test_c03_oracle_agreement_at_finite_length():
 
 def test_c04_semi_additivity_sweep():
     with Budget(120.0):
-        results = semiadd_checks(max_vars=3, max_deg=3, sample=500, seed=0)
+        results = run_suites(["semiadd"], max_vars=3, max_deg=3, sample=500, seed=0)
         assert {r.name for r in results} == {
             "semiadd-lower-2var",
             "semiadd-upper-2var",
@@ -112,13 +103,13 @@ def test_c04_semi_additivity_sweep():
 
 
 def test_c05_submodule_monotonicity_sweep():
-    results = submod_checks(max_vars=3, max_deg=3, sample=500, seed=0)
+    results = run_suites(["submod"], max_vars=3, max_deg=3, sample=500, seed=0)
     assert "submod-monotone-2var" in {r.name for r in results}
     assert_all_pass(results)
 
 
 def test_c06_lattice_law_and_strict_join():
-    results = latt_checks(max_deg=3)
+    results = run_suites(["latt"], max_deg=3)
     assert "latt-join-strict" in {r.name for r in results}
     assert_all_pass(results)
     # the documented equality instance on R/(x^2, x*y)
@@ -130,24 +121,24 @@ def test_c06_lattice_law_and_strict_join():
 
 
 def test_c07_dimension_filtration():
-    assert_all_pass(dimfil_checks(max_vars=3, max_deg=3, sample=500, seed=0))
+    assert_all_pass(run_suites(["dimfil"], max_vars=3, max_deg=3, sample=500, seed=0))
 
 
 def test_c08_prim_kernel_identity():
-    assert_all_pass(primmin_checks(max_vars=3, max_deg=3, sample=500, seed=0))
+    assert_all_pass(run_suites(["primmin"], max_vars=3, max_deg=3, sample=500, seed=0))
 
 
 def test_c09_maximal_embedded_prime_is_open():
-    assert_all_pass(maxassopen_checks(max_deg=3))
+    assert_all_pass(run_suites(["maxassopen"], max_deg=3))
 
 
 def test_c10_multiplication_endomorphism_laws():
-    assert_all_pass(multendo_checks(max_deg=3))
+    assert_all_pass(run_suites(["multendo"], max_deg=3))
 
 
 def test_c11_endomorphism_fixture_suite():
     with Budget(30.0):
-        assert_all_pass(check_endo_fixture(order=8, lo=-2, hi=2, seed=0, samples=200))
+        assert_all_pass(check_endo_fixture(order=8, seed=0))
     # nilpotents square to zero: the exponent matches the longest chain
     # of associated primes of the underlying module
     assert ass_poset_length(MonomialModule.quotient_ring(I2("x^2, x*y"))) == 2
@@ -155,7 +146,7 @@ def test_c11_endomorphism_fixture_suite():
 
 def test_c12_ordinal_algebra_exhaustive():
     with Budget(10.0):
-        assert_all_pass(ordinal_checks(max_deg=3, max_coeff=3))
+        assert_all_pass(run_suites(["ordinal"], max_deg=3))
 
         # associativity over every triple from the full pool, for both
         # sums, by interning each pairwise result and comparing the

@@ -7,7 +7,6 @@ import pytest
 from ordlen.endo_fixture import (
     EndoTriple,
     check_endo_fixture,
-    classify,
     commutator,
     endo_add,
     endo_compose,
@@ -17,8 +16,6 @@ from ordlen.endo_fixture import (
     is_bijective,
     is_monic,
     is_nilpotent,
-    kernel_description,
-    kernel_is_open,
     poly_add,
     poly_inverse,
     poly_mul,
@@ -93,29 +90,14 @@ def test_ring_laws_small():
 
 def test_classification_examples():
     nil = T(0, 3)
-    assert classify(nil) == "nilpotent"
     assert is_nilpotent(nil) and not is_monic(nil)
     assert endo_power(nil, 2).is_zero()
-    assert kernel_description(nil) == "(x, y^2)"
-    assert kernel_is_open(nil)
 
     bij = T(2, 5, 1, 1)
-    assert classify(bij) == "bijective"
     assert is_bijective(bij) and is_monic(bij)
-    assert kernel_description(bij) == "0"
-    assert not kernel_is_open(bij)
 
     half = T(0, 0, 0, 1)  # kills x, multiplies the y-stream by y
-    assert classify(half) == "other"
     assert not is_monic(half)
-    assert kernel_description(half) == "K*x"
-
-    stream = T(3, 0)  # scales x, kills the whole y-stream
-    assert classify(stream) == "other"
-    assert kernel_description(stream) == "one polynomial stream"
-
-    assert kernel_description(EndoTriple.zero(4)) == "M"
-    assert kernel_is_open(EndoTriple.zero(4))
 
 
 def test_nilpotents_square_to_zero_exactly():
@@ -148,11 +130,11 @@ def test_commutators_land_in_the_nil_ideal():
 
 
 def test_check_endo_fixture_passes():
-    results = check_endo_fixture(order=4, samples=50)
+    results = check_endo_fixture(order=4)
     assert all_passed(results)
     names = {r.name for r in results}
     assert "endo-noncommutative" in names
-    assert "endo-kernel-open-iff-nil" in names
+    assert "endo-nil-kernel-open" in names
 
 
 def test_check_endo_fixture_rejects_tiny_order():
