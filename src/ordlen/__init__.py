@@ -16,7 +16,6 @@ from .modules import (
     ass_poset_length,
     dim_filtration,
     fcyc,
-    h0_length,
     is_binary_module,
     is_open_submodule,
     is_univalent,
@@ -44,7 +43,6 @@ from .monomial import (
     parse_monomial,
     saturate,
     saturate_mono,
-    standard_pairs,
 )
 from .ordinal import OMEGA, ONE, ZERO, Ordinal
 
@@ -75,7 +73,6 @@ __all__ = [
     "fcyc",
     "format_ideal",
     "h0_count",
-    "h0_length",
     "ideal_sum",
     "intersect",
     "is_binary_module",
@@ -93,6 +90,5 @@ __all__ = [
     "saturate",
     "saturate_mono",
     "split_binary_submodule",
-    "standard_pairs",
     "univalent_data",
 ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import Iterator
 
 from .monomial import Monomial, MonomialIdeal, contains, ideal_sum, member, multiply
 
@@ -48,25 +49,21 @@ def contained_pairs(ideals: list[MonomialIdeal]) -> list[tuple[MonomialIdeal, Mo
 
 def sandwich_numerators(
     J: MonomialIdeal, I: MonomialIdeal, d: int = DEFAULT_DEGREE, max_extras: int = 2
-) -> list[MonomialIdeal]:
+) -> Iterator[MonomialIdeal]:
     """Numerators I′ with J ⊆ I′ ⊆ I generated over J by at most
-    ``max_extras`` monomials of degree ≤ d."""
+    ``max_extras`` monomials of degree ≤ d, each once, J first."""
     pool = [
         m
         for m in monomials_of_degree_at_most(J.n, d)
         if member(m, I) and not member(m, J)
     ]
-    out = [J]
-    for size in range(1, max_extras + 1):
-        for combo in itertools.combinations(pool, size):
-            out.append(ideal_sum(J, MonomialIdeal(J.n, combo)))
     seen = set()
-    unique = []
-    for ideal in out:
-        if ideal.gens not in seen:
-            seen.add(ideal.gens)
-            unique.append(ideal)
-    return unique
+    for size in range(max_extras + 1):
+        for combo in itertools.combinations(pool, size):
+            ideal = ideal_sum(J, MonomialIdeal(J.n, combo))
+            if ideal.gens not in seen:
+                seen.add(ideal.gens)
+                yield ideal
 
 
 def artinian_ideals_containing_power(n: int, k: int = 4) -> list[MonomialIdeal]:

@@ -20,6 +20,7 @@ import warnings
 from functools import lru_cache, reduce
 from typing import NamedTuple
 
+from .corpus import sandwich_numerators
 from .cycles import Cycle, MonomialPrime, binord
 from .errors import GuardError
 from .monomial import (
@@ -138,15 +139,14 @@ def localize(module: MonomialModule, prime: MonomialPrime) -> MonomialModule:
     return MonomialModule(len(keep), num, den)
 
 
-def h0_length(module: MonomialModule) -> int:
-    """Classical length of the torsion of the module at the fine maximal ideal."""
-    return h0_count(module.I, module.J)
-
-
 def fcyc(module: MonomialModule) -> Cycle:
     """The fundamental cycle: each monomial prime weighted by the
     classical length of the local torsion there.
 
+    The weight at P is one ``h0_count`` of the module localized at P: the
+    number of standard pairs of J whose free set F is the variables
+    outside P and whose head lies in I : x_F^infinity
+    (Sturmfels-Trung-Vogel).
     Only finitely many primes carry weight; they are exactly the
     associated primes of the module.  The variable guard runs before the
     cache, so a cached module is refused like a new one.
@@ -167,10 +167,9 @@ def _fcyc(module: MonomialModule) -> Cycle:
     terms = []
     for size in range(n + 1):
         for combo in itertools.combinations(range(n), size):
-            prime = MonomialPrime.of(n, combo)
-            c = h0_length(localize(module, prime))
+            c = h0_count(*localize_pair(module.I, module.J, combo))
             if c:
-                terms.append((prime, c))
+                terms.append((MonomialPrime.of(n, combo), c))
     return Cycle(n, tuple(terms))
 
 
@@ -268,42 +267,23 @@ def is_open_submodule(module: MonomialModule, numerator: MonomialIdeal) -> bool:
     return length(module.submodule(numerator)) == length(module)
 
 
-def _witness_box(module: MonomialModule) -> list[Monomial]:
-    """Candidate monomials for associated-prime witnesses, by degree.
-
-    Any witness can be truncated, variable by variable, to the largest
-    exponent appearing among the generators of I and J without changing
-    its annihilator or membership, so this box is exhaustive.
-    """
-    caps = [
-        max((g.exps[j] for g in module.I.gens + module.J.gens), default=0)
-        for j in range(module.n)
-    ]
-    box = [Monomial(e) for e in itertools.product(*(range(c + 1) for c in caps))]
-    return sorted(box, key=lambda m: (m.degree, m.exps))
-
-
 def ass_witnesses(module: MonomialModule) -> dict[MonomialPrime, Monomial]:
-    """A monomial of the module whose annihilator is each associated prime."""
+    """A monomial of the module whose annihilator is each associated prime.
+
+    m has annihilator P exactly when m lies in I, x_i*m lies in J for every
+    i in P, and no monomial in the variables F outside P kills m: m is in
+    A = I ∩ (J : P) and outside B = J : x_F^infinity.  Since B's complement
+    is closed under division, the least element of A outside B, in
+    (degree, exponents) order, is a minimal generator of A.
+    """
     if module.is_zero:
         raise ValueError("the zero module has no associated primes")
-    wanted = {p: ideal_of_prime(p) for p in ass(module)}
+    I, J = module.I, module.J
     found: dict[MonomialPrime, Monomial] = {}
-    for m in _witness_box(module):
-        if len(found) == len(wanted):
-            break
-        if not member(m, module.I) or member(m, module.J):
-            continue
-        annm = colon_mono(module.J, m)
-        for p, pid in wanted.items():
-            if p not in found and annm == pid:
-                found[p] = m
-    missing = [p for p in wanted if p not in found]
-    if missing:
-        raise RuntimeError(
-            f"witness search exhausted its box without finding {missing}; "
-            "this indicates a bound bug"
-        )
+    for p in ass(module):
+        A = intersect(I, colon_ideal(J, ideal_of_prime(p))) if p.gens else I
+        B = saturate_mono(J, Monomial(tuple(int(i not in p.gens) for i in range(module.n))))
+        found[p] = next(g for g in A.gens if not member(g, B))
     return found
 
 
@@ -437,24 +417,12 @@ def find_submodule_with_length(
 ) -> MonomialIdeal | None:
     """Best-effort search for a submodule of the given length.
 
-    Tries numerators generated over J by up to ``max_extras`` monomials
-    of degree at most ``max_degree``.  Returns a numerator on success
-    and None when the search bound is exhausted; exhaustion is not a
-    counterexample.
+    Tries the numerators ``sandwich_numerators`` yields: J itself and J
+    plus up to ``max_extras`` monomials of I of degree at most
+    ``max_degree``.  Returns a numerator on success and None when the
+    search bound is exhausted; exhaustion is not a counterexample.
     """
-    if target.is_zero:
-        return module.J
-    candidates = [
-        Monomial(e)
-        for e in itertools.product(*(range(max_degree + 1) for _ in range(module.n)))
-        if sum(e) <= max_degree
-    ]
-    candidates = [
-        m for m in candidates if member(m, module.I) and not member(m, module.J)
-    ]
-    for count in range(1, max_extras + 1):
-        for extras in itertools.combinations(candidates, count):
-            numerator = ideal_sum(module.J, MonomialIdeal(module.n, extras))
-            if length(module.submodule(numerator)) == target:
-                return numerator
+    for numerator in sandwich_numerators(module.J, module.I, max_degree, max_extras):
+        if length(module.submodule(numerator)) == target:
+            return numerator
     return None

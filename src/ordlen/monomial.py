@@ -1,5 +1,5 @@
 """Monomial ideal combinatorics: membership, colons, saturation,
-intersection, standard pairs, localization and torsion counting.
+intersection, localization and torsion counting.
 
 Everything here is exact integer bookkeeping on exponent vectors.  An
 ideal is held by its unique minimal generating set (an antichain under
@@ -12,7 +12,7 @@ import itertools
 import math
 import re
 from functools import reduce
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .cycles import MonomialPrime
 from .errors import GuardError, ParseError
@@ -263,74 +263,6 @@ def ideal_of_prime(p: MonomialPrime) -> MonomialIdeal:
 def variable_ideal(n: int) -> MonomialIdeal:
     """The ideal generated by all variables (the fine maximal ideal)."""
     return MonomialIdeal(n, tuple(Monomial.var(n, i) for i in range(n)))
-
-
-# ----------------------------------------------------------------------
-# standard pairs
-# ----------------------------------------------------------------------
-
-
-class StandardPair(NamedTuple):
-    """A head monomial together with its set of free variables.
-
-    The pair stands for all products of the head with monomials in the
-    free variables; the heads never touch their free variables.
-    """
-
-    head: Monomial
-    free: frozenset[int]
-
-    @property
-    def key(self) -> tuple:
-        return (tuple(sorted(self.free)), self.head.exps)
-
-
-def standard_pairs(ideal: MonomialIdeal) -> frozenset[StandardPair]:
-    """The standard pairs of the complement of a monomial ideal.
-
-    A pair (head, free) is admissible when the head avoids its free
-    variables and no free-variable multiple of the head lies in the
-    ideal; the standard pairs are the maximal admissible pairs.  They
-    are found free-set by free-set: saturating at a candidate free set
-    bounds the possible heads to a finite box, and maximality is a
-    one-variable-enlargement test against neighbouring saturations.
-    """
-    n = ideal.n
-    if ideal.is_unit:
-        return frozenset()
-    sats: dict[frozenset[int], MonomialIdeal] = {}
-
-    def sat(free: frozenset[int]) -> MonomialIdeal:
-        if free not in sats:
-            sats[free] = saturate_mono(ideal, Monomial(tuple(int(i in free) for i in range(n))))
-        return sats[free]
-
-    pairs = []
-    for size in range(n + 1):
-        for combo in itertools.combinations(range(n), size):
-            free = frozenset(combo)
-            here = sat(free)
-            if here.is_unit:
-                continue
-            rest = [i for i in range(n) if i not in free]
-            caps = {}
-            for j in rest:
-                d = max((g.exps[j] for g in here.gens), default=0)
-                caps[j] = d
-            if any(caps[j] == 0 for j in rest):
-                # a variable untouched by the saturation enlarges every
-                # admissible pair, so no pair is maximal at this free set
-                continue
-            for choice in itertools.product(*(range(caps[j]) for j in rest)):
-                exps = [0] * n
-                for j, a in zip(rest, choice):
-                    exps[j] = a
-                head = Monomial(tuple(exps))
-                if member(head, here):
-                    continue
-                if all(member(head.zeroed(j), sat(free | {j})) for j in rest):
-                    pairs.append(StandardPair(head, free))
-    return frozenset(pairs)
 
 
 # ----------------------------------------------------------------------

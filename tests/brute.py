@@ -121,3 +121,50 @@ def saturation_iterated(gens: list[Exp], by: list[Exp]) -> list[Exp]:
         if nxt == cur:
             return cur
         cur = nxt
+
+
+def standard_pairs(gens: list[Exp], n: int) -> set[tuple[Exp, tuple[int, ...]]]:
+    """The standard pairs (head, free) of the complement of the ideal.
+
+    A pair is admissible when its head is zero on the free variables and
+    no free-variable multiple of the head lies in the ideal.  It is
+    standard when it is maximal, which it is exactly when zeroing any
+    other variable j in the head and freeing j gives an inadmissible
+    pair.  A standard head's exponents stay below the largest exponent
+    of the ideal's generators, so a box of that size holds every head.
+    """
+    pairs = set()
+    for size in range(n + 1):
+        for free in itertools.combinations(range(n), size):
+            rest = [j for j in range(n) if j not in free]
+            for head in box(n, power_bound(gens, n) - 1):
+                if any(head[j] for j in free):
+                    continue
+                if saturation_member(head, gens, indicator(free, n), n):
+                    continue
+                if all(
+                    saturation_member(scale(head, j, -head[j]), gens, indicator(free + (j,), n), n)
+                    for j in rest
+                ):
+                    pairs.add((head, free))
+    return pairs
+
+
+def indicator(indices, n: int) -> Exp:
+    """The squarefree monomial of the listed variables."""
+    return tuple(int(i in indices) for i in range(n))
+
+
+def ass_witness(i_gens: list[Exp], j_gens: list[Exp], n: int, prime: tuple[int, ...]) -> Exp | None:
+    """The least monomial, by degree and then exponents, of I outside J
+    whose annihilator J : m is generated by the prime's variables; a box
+    up to the largest exponent of each variable holds it if it exists."""
+    caps = [max((g[j] for g in i_gens + j_gens), default=0) for j in range(n)]
+    want = minimal([indicator((i,), n) for i in prime])
+    cells = sorted(itertools.product(*(range(c + 1) for c in caps)), key=lambda e: (sum(e), e))
+    for m in cells:
+        if not member(m, i_gens) or member(m, j_gens):
+            continue
+        if minimal([tuple(max(a - b, 0) for a, b in zip(g, m)) for g in j_gens]) == want:
+            return m
+    return None

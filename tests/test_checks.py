@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from ordlen.checks import SUITES, run_suites
+import ordlen.checks
+from ordlen.checks import SUITES, Corpus, run_suites
 from ordlen.reporting import CheckResult, all_passed, render_results, sweep
 
 
@@ -40,6 +41,20 @@ def test_sample_is_not_capped():
 
     small, large = cases(100), cases(300)
     assert all(large[name] > small[name] for name in small), (small, large)
+
+
+def test_three_variable_pairs_obey_max_deg():
+    pairs = Corpus(max_vars=3, max_deg=2, sample=200, seed=5).pairs["3var"]
+    assert len(pairs) == 200
+    assert all(g.degree <= 2 for _, I in pairs for g in I.gens)
+    assert all(g.degree <= 4 for J, _ in pairs for g in J.gens)
+
+
+def test_converse_search_fails_when_a_length_is_not_found(monkeypatch):
+    monkeypatch.setattr(ordlen.checks, "find_submodule_with_length", lambda M, nu: None)
+    results = run_suites(["submod"], max_vars=2, max_deg=1)
+    (converse,) = [r for r in results if r.name == "submod-converse-search"]
+    assert not converse.passed and converse.cases == 14
 
 
 def test_sweep_counts_cases_and_keeps_witnesses():

@@ -7,7 +7,7 @@ import pytest
 
 import brute
 from test_acceptance import Budget
-from ordlen.corpus import all_ideals
+from ordlen.corpus import all_ideals, random_contained_pairs
 from ordlen.cycles import Cycle, MonomialPrime
 from ordlen.errors import GuardError
 from ordlen.modules import (
@@ -19,7 +19,6 @@ from ordlen.modules import (
     dim_filtration,
     fcyc,
     find_submodule_with_length,
-    h0_length,
     is_binary_module,
     is_open_submodule,
     is_univalent,
@@ -36,11 +35,13 @@ from ordlen.modules import (
 from ordlen.monomial import (
     MonomialIdeal,
     Monomial,
+    colon_mono,
     contains,
+    h0_count,
+    ideal_of_prime,
     member,
     parse_ideal,
     parse_monomial,
-    standard_pairs,
 )
 from ordlen.ordinal import OMEGA, ONE, ZERO, Ordinal
 
@@ -128,28 +129,34 @@ def test_localize_drops_outside_variables():
     M = quotient("x^2, x*y")
     at_x = localize(M, P(0))
     assert at_x.n == 1
-    assert h0_length(at_x) == 1
+    assert h0_count(at_x.I, at_x.J) == 1
 
 
 # -- fcyc against the standard-pair decomposition -------------------------
 
 
 def test_fcyc_counts_standard_pairs_by_free_set():
-    """For R/J the coefficient of the prime on variables outside S
-    equals the number of standard pairs with free set S."""
+    """The coefficient of the prime P in fcyc(I/J) is the number of
+    standard pairs of J whose free set F is the variables outside P and
+    whose head lies in I : x_F^∞ (Sturmfels-Trung-Vogel for I = R)."""
     rng = random.Random(21)
-    ideals = all_ideals(2, 3)
-    for J in rng.sample(ideals, k=20):
-        if J.is_unit:
-            continue
-        M = MonomialModule.quotient_ring(J)
-        cycle = fcyc(M)
-        pairs = standard_pairs(J)
-        for size in range(3):
-            for free in itertools.combinations(range(2), size):
-                prime = MonomialPrime.of(2, tuple(sorted(set(range(2)) - set(free))))
-                expected = sum(1 for p in pairs if tuple(sorted(p.free)) == free)
-                assert cycle.coeff(prime) == expected, (J, free)
+    modules = [(J, MonomialIdeal.unit(2)) for J in rng.sample(all_ideals(2, 3), k=20)]
+    for n, count in ((2, 120), (3, 80), (4, 40)):
+        modules += random_contained_pairs(n, count, seed=21 + n, d=2)
+    for J, I in modules:
+        n = J.n
+        cycle = fcyc(MonomialModule(n, I, J))
+        ig, jg = [g.exps for g in I.gens], [g.exps for g in J.gens]
+        pairs = brute.standard_pairs(jg, n)
+        for size in range(n + 1):
+            for free in itertools.combinations(range(n), size):
+                prime = MonomialPrime.of(n, set(range(n)) - set(free))
+                by = brute.indicator(free, n)
+                expected = sum(
+                    1 for head, f in pairs
+                    if f == free and brute.saturation_member(head, ig, by, n)
+                )
+                assert cycle.coeff(prime) == expected, (J, I, free)
 
 
 # -- dimension filtration --------------------------------------------------
@@ -267,6 +274,29 @@ def test_ass_witnesses_worked_example():
     w = ass_witnesses(M)
     assert w[P(0)] == parse_monomial("y", NAMES)
     assert w[P(0, 1)] == parse_monomial("x", NAMES)
+
+
+def witness_modules():
+    """Seeded nonzero modules in 2-5 variables, J = 0 and I ≠ R included."""
+    for n, count, d in ((2, 500, 3), (3, 500, 3), (4, 300, 2), (5, 300, 2)):
+        for J, I in random_contained_pairs(n, count, seed=40 + n, d=d):
+            if I != J:
+                yield MonomialModule(n, I, J)
+
+
+def test_ass_witnesses_match_the_box_search():
+    seen = zero_denominator = proper_numerator = 0
+    for M in witness_modules():
+        ig, jg = [g.exps for g in M.I.gens], [g.exps for g in M.J.gens]
+        witnesses = ass_witnesses(M)
+        assert list(witnesses) == list(ass(M))
+        for p, w in witnesses.items():
+            assert w.exps == brute.ass_witness(ig, jg, M.n, p.key), (M, p)
+            assert colon_mono(M.J, w) == ideal_of_prime(p), (M, p)
+        seen += 1
+        zero_denominator += M.J.is_zero
+        proper_numerator += not M.I.is_unit
+    assert seen >= 1000 and zero_denominator and proper_numerator
 
 
 def test_split_binary_submodule_examples():
