@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from types import SimpleNamespace as Case
 
@@ -28,12 +28,12 @@ from .corpus import (
 from .endo_fixture import check_endo_fixture
 from .finite_oracle import (
     FiniteModule,
-    endo_image,
-    endo_kernel,
+    echelon,
     endo_power,
     enumerate_endos,
     enumerate_submodules,
     intersect_spans,
+    kernel_of_map,
     longest_chain,
 )
 from .modules import (
@@ -442,11 +442,11 @@ def _endo_theorems(c) -> bool:
     """Reductive powers, rank-nullity there, and essential kernels nilpotent."""
     fm, table = c.fm, c.table
     k = 1
-    while endo_kernel(endo_power(fm, table, k)) != endo_kernel(endo_power(fm, table, k + 1)):
+    while kernel_of_map(endo_power(fm, table, k)) != kernel_of_map(endo_power(fm, table, k + 1)):
         k += 1
     stable = endo_power(fm, table, k)
-    ker, img = endo_kernel(stable), endo_image(stable)
-    kernel1 = endo_kernel(table)
+    ker, img = kernel_of_map(stable), echelon(stable)
+    kernel1 = kernel_of_map(table)
     essential = all(not s or intersect_spans(kernel1, s) for s in c.subs)
     nilpotent = all(v == 0 for v in endo_power(fm, table, fm.dim))
     return (
@@ -492,7 +492,7 @@ def _oracle_artinian(corpus: Corpus) -> list[CheckResult]:
 def _endo_fixture(corpus: Corpus) -> list[CheckResult]:
     orders = [corpus.truncation] if corpus.truncation else [4, 8]
     return [
-        replace(r, name=f"{r.name}-N{N}")
+        r._replace(name=f"{r.name}-N{N}")
         for N in orders
         for r in check_endo_fixture(N, seed=corpus.seed)
     ]

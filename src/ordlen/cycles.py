@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
+from .frozen import Frozen
 from .ordinal import Ordinal
 
 
-class MonomialPrime:
+class MonomialPrime(Frozen):
     """The prime generated by the variables ``gens`` inside n variables."""
 
     __slots__ = ("n", "gens")
@@ -41,15 +42,6 @@ class MonomialPrime:
     def __hash__(self) -> int:
         return hash((self.n, self.gens))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return (self.__class__, (self.n, self.gens))
-
     @classmethod
     def of(cls, n: int, indices: Iterable[int]) -> "MonomialPrime":
         return cls(n, frozenset(indices))
@@ -76,7 +68,7 @@ class MonomialPrime:
         return f"MonomialPrime({self.n}, {set(self.key) if self.gens else '{}'})"
 
 
-class Cycle:
+class Cycle(Frozen):
     """A formal natural-number combination of monomial primes."""
 
     __slots__ = ("n", "terms")
@@ -106,15 +98,6 @@ class Cycle:
 
     def __hash__(self) -> int:
         return hash((self.n, self.terms))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return (self.__class__, (self.n, self.terms))
 
     def __repr__(self) -> str:
         return f"Cycle(n={self.n!r}, terms={self.terms!r})"

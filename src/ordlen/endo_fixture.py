@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .modules import MonomialModule, length
 from .monomial import parse_ideal
@@ -75,17 +74,12 @@ def poly_inverse(p: Sequence[Scalar], order: int) -> tuple[Scalar, ...]:
     return tuple(inv)
 
 
-@dataclass(frozen=True)
-class EndoTriple:
+class EndoTriple(NamedTuple):
     """The endomorphism f(x) = u·x, f(y) = v·x + p(y)·y, with p truncated."""
 
     u: Scalar
     v: Scalar
     p: tuple[Scalar, ...]
-
-    def __post_init__(self):
-        if len(self.p) < 1:
-            raise ValueError("truncation order must be at least 1")
 
     @property
     def order(self) -> int:
@@ -110,9 +104,10 @@ class EndoTriple:
 
 
 def _check_orders(f: EndoTriple, g: EndoTriple) -> int:
-    if f.order != g.order:
-        raise ValueError(f"truncation mismatch: {f.order} vs {g.order}")
-    return f.order
+    order = len(f.p)
+    if order != len(g.p):
+        raise ValueError(f"truncation mismatch: {order} vs {len(g.p)}")
+    return order
 
 
 def endo_add(f: EndoTriple, g: EndoTriple) -> EndoTriple:

@@ -11,8 +11,7 @@ length theory at finite length.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import GuardError
 from .monomial import Monomial, MonomialIdeal, member
@@ -61,54 +60,30 @@ def span_vectors(basis: Sequence[int]) -> list[int]:
     return vs
 
 
+def solve_homogeneous(equations: Sequence[int], nbits: int) -> tuple[int, ...]:
+    """Solution-space basis of a homogeneous system over the two-element
+    field, each equation a bitmask functional over nbits unknowns."""
+    # in reduced echelon form each row holds its pivot and free bits only,
+    # so setting one free bit fixes the pivot of every row that holds it
+    rows = echelon(equations)
+    pivots = [r.bit_length() - 1 for r in rows]
+    return echelon(
+        (1 << fb) | sum(1 << p for r, p in zip(rows, pivots) if (r >> fb) & 1)
+        for fb in range(nbits)
+        if fb not in pivots
+    )
+
+
 def kernel_of_map(images: Sequence[int]) -> tuple[int, ...]:
     """Kernel basis of the linear map sending basis vector i to images[i].
 
     Kernel elements are combination masks over the domain basis.
     """
-    pivots: list[tuple[int, int]] = []
-    kernel = []
-    for i, img in enumerate(images):
-        track = 1 << i
-        for p_img, p_track in pivots:
-            if img ^ p_img < img:
-                img ^= p_img
-                track ^= p_track
-        if img:
-            pivots.append((img, track))
-            pivots.sort(key=lambda t: t[0], reverse=True)
-        else:
-            kernel.append(track)
-    return echelon(kernel)
-
-
-def solve_homogeneous(equations: Sequence[int], nbits: int) -> tuple[int, ...]:
-    """Solution-space basis of a homogeneous system over the two-element
-    field, each equation a bitmask functional over nbits unknowns."""
-    rows: list[int] = []
-    for eq in equations:
-        for r in rows:
-            if eq ^ r < eq:
-                eq ^= r
-        if eq:
-            rows.append(eq)
-            rows.sort(reverse=True)
-    # reduced form: each row keeps its pivot bit and free bits only
-    for i in range(len(rows) - 1, -1, -1):
-        for j in range(i + 1, len(rows)):
-            if rows[i] ^ rows[j] < rows[i]:
-                rows[i] ^= rows[j]
-    pivot_bits = {r.bit_length() - 1 for r in rows}
-    basis = []
-    for fb in range(nbits):
-        if fb in pivot_bits:
-            continue
-        sol = 1 << fb
-        for r in rows:
-            if (r >> fb) & 1:
-                sol |= 1 << (r.bit_length() - 1)
-        basis.append(sol)
-    return echelon(basis)
+    width = max(images, default=0).bit_length()
+    equations = [
+        sum(((img >> o) & 1) << i for i, img in enumerate(images)) for o in range(width)
+    ]
+    return solve_homogeneous(equations, len(images))
 
 
 def intersect_spans(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -140,8 +115,7 @@ def _concat(parts: Sequence[int], width: int) -> int:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteModule:
+class FiniteModule(NamedTuple):
     """A module over the two-element field with commuting nilpotent
     variable actions, given by the images of each basis vector."""
 
@@ -149,11 +123,6 @@ class FiniteModule:
     dim: int
     actions: tuple[tuple[int, ...], ...]
     labels: tuple[Monomial, ...] = ()
-
-    def __post_init__(self):
-        for table in self.actions:
-            if len(table) != self.dim:
-                raise ValueError("action table size does not match dimension")
 
     @classmethod
     def from_quotient(cls, denominator: MonomialIdeal) -> "FiniteModule":
@@ -183,18 +152,7 @@ class FiniteModule:
                 image = m * xj
                 table.append(0 if member(image, denominator) else 1 << index[image])
             actions.append(tuple(table))
-        mod = cls(n, len(basis), tuple(actions), tuple(basis))
-        for j in range(n):
-            if not mod._action_is_nilpotent(j):
-                raise ValueError(f"variable {j} does not act nilpotently")
-        return mod
-
-    def _action_is_nilpotent(self, j: int) -> bool:
-        table = self.actions[j]
-        power = list(table)
-        for _ in range(self.dim):
-            power = [_apply(table, v) for v in power]
-        return all(v == 0 for v in power)
+        return cls(n, len(basis), tuple(actions), tuple(basis))
 
     def apply_var(self, j: int, v: int) -> int:
         return _apply(self.actions[j], v)
@@ -232,14 +190,13 @@ def closure(module: FiniteModule, vectors: Iterable[int]) -> tuple[int, ...]:
     return echelon(basis)
 
 
-def enumerate_submodules(
-    module: FiniteModule, dim_cap: int = SUBMODULE_DIM_CAP
-) -> list[tuple[int, ...]]:
+def enumerate_submodules(module: FiniteModule) -> list[tuple[int, ...]]:
     """All action-stable subspaces, as echelon bases, zero and the whole
     module included."""
-    if module.dim > dim_cap:
+    if module.dim > SUBMODULE_DIM_CAP:
         raise GuardError(
-            f"submodule enumeration at dimension {module.dim} exceeds the guard ({dim_cap})"
+            f"submodule enumeration at dimension {module.dim} exceeds the guard "
+            f"({SUBMODULE_DIM_CAP})"
         )
     all_vectors = range(1, 1 << module.dim)
     seen: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
@@ -262,9 +219,10 @@ def longest_chain(module: FiniteModule) -> int:
 
     Every step of any chain raises the dimension, so no chain beats one
     that climbs a dimension at a time; such a chain always exists here
-    because nilpotent actions leave a socle in every quotient, and it
-    is built and verified stepwise below.  The count equals the
-    dimension.
+    because nilpotent actions leave a socle in every quotient.  It is
+    built below one socle vector of the quotient at a time: every
+    variable sends that vector into the chain so far, so each step is a
+    submodule.  The count equals the dimension.
     """
     basis: list[int] = []
     steps = 0
@@ -281,22 +239,17 @@ def longest_chain(module: FiniteModule) -> int:
         ]
         if not candidates:
             raise RuntimeError("socle ascent stalled; the actions are not nilpotent")
-        v = min(candidates)
-        if any(not in_span(basis, module.apply_var(j, v)) for j in range(module.nvars)):
-            raise RuntimeError("socle candidate fails the submodule check")
-        basis = list(echelon(basis + [v]))
+        basis = list(echelon(basis + [min(candidates)]))
         steps += 1
     return steps
 
 
-def enumerate_endos(
-    module: FiniteModule, dim_cap: int = ENDO_DIM_CAP
-) -> list[tuple[int, ...]]:
+def enumerate_endos(module: FiniteModule) -> list[tuple[int, ...]]:
     """All linear maps commuting with every variable action, as image tables."""
     d = module.dim
-    if d > dim_cap:
+    if d > ENDO_DIM_CAP:
         raise GuardError(
-            f"endomorphism enumeration at dimension {d} exceeds the guard ({dim_cap})"
+            f"endomorphism enumeration at dimension {d} exceeds the guard ({ENDO_DIM_CAP})"
         )
     if d == 0:
         return [()]
@@ -329,11 +282,3 @@ def endo_power(module: FiniteModule, table: Sequence[int], k: int) -> tuple[int,
     for _ in range(k):
         out = tuple(_apply(table, v) for v in out)
     return out
-
-
-def endo_kernel(table: Sequence[int]) -> tuple[int, ...]:
-    return kernel_of_map(table)
-
-
-def endo_image(table: Sequence[int]) -> tuple[int, ...]:
-    return echelon(table)

@@ -23,6 +23,7 @@ from typing import NamedTuple
 from .corpus import sandwich_numerators
 from .cycles import Cycle, MonomialPrime, binord
 from .errors import GuardError
+from .frozen import Frozen
 from .monomial import (
     Monomial,
     MonomialIdeal,
@@ -51,7 +52,7 @@ def _max_vars() -> int:
     return int(value) if value else DEFAULT_MAX_VARS
 
 
-class MonomialModule:
+class MonomialModule(Frozen):
     """The subquotient I/J of a polynomial ring in n variables."""
 
     __slots__ = ("n", "I", "J")
@@ -78,15 +79,6 @@ class MonomialModule:
 
     def __hash__(self) -> int:
         return hash((self.n, self.I, self.J))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return (self.__class__, (self.n, self.I, self.J))
 
     @classmethod
     def quotient_ring(cls, denominator: MonomialIdeal) -> "MonomialModule":
@@ -374,15 +366,15 @@ def mult_endo(module: MonomialModule, r: Monomial) -> EndoAnalysis:
     def image_numerator(k: int) -> MonomialIdeal:
         return ideal_sum(multiply(I, r.pow(k)), J)
 
-    kernel = module.submodule(kernel_numerator(1))
+    k, kernel_k = 1, kernel_numerator(1)
+    kernel = module.submodule(kernel_k)
     image = module.submodule(image_numerator(1))
     mu = length(module)
     kappa = length(kernel)
     theta = length(image)
-    k = 1
-    while kernel_numerator(k) != kernel_numerator(k + 1):
-        k += 1
-    tectonics = module.submodule(ideal_sum(kernel_numerator(k), image_numerator(k)))
+    while (following := kernel_numerator(k + 1)) != kernel_k:
+        k, kernel_k = k + 1, following
+    tectonics = module.submodule(ideal_sum(kernel_k, image_numerator(k)))
     return EndoAnalysis(
         r=r,
         kernel=kernel,

@@ -16,12 +16,13 @@ from typing import Iterable, Sequence
 
 from .cycles import MonomialPrime
 from .errors import GuardError, ParseError
+from .frozen import Frozen
 
 # Largest number of box lines one h0_count scan may visit.
 MAX_H0_LINES = 10**6
 
 
-class Monomial:
+class Monomial(Frozen):
     """A monomial stored as its exponent vector."""
 
     __slots__ = ("exps",)
@@ -44,15 +45,6 @@ class Monomial:
 
     def __hash__(self) -> int:
         return hash((self.exps,))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return (self.__class__, (self.exps,))
 
     @classmethod
     def one(cls, n: int) -> "Monomial":
@@ -128,7 +120,7 @@ def _minimalize(monomials: Iterable[Monomial]) -> tuple[Monomial, ...]:
     return tuple(kept)
 
 
-class MonomialIdeal:
+class MonomialIdeal(Frozen):
     """A monomial ideal held by its minimal generators, sorted canonically.
 
     The zero ideal has no generators; the unit ideal is generated by 1.
@@ -156,15 +148,6 @@ class MonomialIdeal:
 
     def __hash__(self) -> int:
         return hash((self.n, self.gens))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return (self.__class__, (self.n, self.gens))
 
     @classmethod
     def zero(cls, n: int) -> "MonomialIdeal":

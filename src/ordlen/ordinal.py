@@ -23,6 +23,7 @@ import re
 from typing import Iterable, NamedTuple
 
 from .errors import ParseError
+from .frozen import Frozen
 
 # Exponents in textual input are capped so parsing cannot allocate
 # absurd coefficient tuples.
@@ -36,7 +37,7 @@ class OrdinalSplit(NamedTuple):
     low: "Ordinal"
 
 
-class Ordinal:
+class Ordinal(Frozen):
     """An ordinal below w^w in Cantor normal form."""
 
     __slots__ = ("coeffs",)
@@ -68,15 +69,6 @@ class Ordinal:
 
     def __hash__(self) -> int:
         return hash((self.coeffs,))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return (self.__class__, (self.coeffs,))
 
     # ------------------------------------------------------------------
     # constructors

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 WITNESSES_KEPT = 5
 
@@ -13,12 +12,11 @@ WITNESSES_KEPT = 5
 Law = tuple[str, str, Callable[[Any], "bool | None"]]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
-    evidence: dict = field(default_factory=dict)
+    evidence: dict = {}
     cases: int | None = None
 
     def line(self) -> str:

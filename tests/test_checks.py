@@ -57,6 +57,37 @@ def test_converse_search_fails_when_a_length_is_not_found(monkeypatch):
     assert not converse.passed and converse.cases == 14
 
 
+ORACLE_COUNTS = [
+    ("oracle-chain-2var", 42),
+    ("oracle-submodule-realization", 5),
+    ("oracle-endo-theorems", 42),
+    ("oracle-schur", 1),
+]
+FIXTURE_COUNTS = [
+    ("endo-identity", 625),
+    ("endo-nilpotent-square", 625),
+    ("endo-bijective-inverse", 400),
+    ("endo-nil-ideal", 3125),
+    ("endo-nil-square-zero", 25),
+    ("endo-commutators-nil", 195000),
+    ("endo-noncommutative", 1),
+    ("endo-monic-plus-nil", 2400),
+    ("endo-central-unit-plus-nil", 20),
+    ("endo-ring-laws", 200),
+    ("endo-nil-kernel-open", 1),
+]
+
+
+@pytest.mark.parametrize("truncation", [4, 8])
+def test_oracle_and_fixture_records_are_pinned(truncation):
+    results = run_suites(
+        ["oracle-artinian", "endo-fixture"], max_vars=2, max_deg=2, seed=1, truncation=truncation
+    )
+    fixture = [(f"{name}-N{truncation}", cases) for name, cases in FIXTURE_COUNTS]
+    assert [(r.name, r.cases) for r in results] == ORACLE_COUNTS + fixture
+    assert all_passed(results)
+
+
 def test_sweep_counts_cases_and_keeps_witnesses():
     low, odd = sweep(
         range(10),

@@ -8,9 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ordlen.cycles import Cycle, MonomialPrime, binary_cycle, binord
+from ordlen.endo_fixture import EndoTriple
+from ordlen.finite_oracle import FiniteModule
 from ordlen.modules import MonomialModule
 from ordlen.monomial import Monomial, MonomialIdeal
 from ordlen.ordinal import Ordinal
+from ordlen.reporting import CheckResult
 
 
 def P(*gens, n=2):
@@ -112,7 +115,7 @@ def test_binord_is_additive_on_cycles(d):
 
 def test_value_types_pickle_and_copy():
     J = MonomialIdeal(2, (Monomial((2, 0)), Monomial((1, 1))))
-    values = [
+    frozen = [
         Ordinal((1, 2)),
         Monomial((2, 0)),
         J,
@@ -120,7 +123,19 @@ def test_value_types_pickle_and_copy():
         Cycle.of(2, {P(0): 3}),
         MonomialModule.quotient_ring(J),
     ]
-    for v in values:
+    records = [
+        EndoTriple.identity(4),
+        FiniteModule.from_quotient(MonomialIdeal.of(2, [(2, 0), (1, 1), (0, 2)])),
+        CheckResult("law", False, "1 case", {"witnesses": ["w"]}, 1),
+    ]
+    for v in frozen + records:
         assert pickle.loads(pickle.dumps(v)) == v
         assert copy.deepcopy(v) == v
+        assert copy.copy(v) == v
+    for v in frozen:
         assert hash(copy.copy(v)) == hash(v)
+        field = v.__slots__[0]
+        with pytest.raises(AttributeError):
+            setattr(v, field, getattr(v, field))
+        with pytest.raises(AttributeError):
+            delattr(v, field)

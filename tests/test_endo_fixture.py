@@ -47,8 +47,6 @@ def test_poly_ops():
 
 
 def test_triple_validation_and_constants():
-    with pytest.raises(ValueError):
-        EndoTriple(1, 0, ())
     assert EndoTriple.zero(4).is_zero()
     assert EndoTriple.identity(4) == EndoTriple(1, 0, (1, 0, 0, 0))
     assert EndoTriple.identity(4).order == 4

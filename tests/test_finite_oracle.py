@@ -10,8 +10,6 @@ from ordlen.finite_oracle import (
     FiniteModule,
     closure,
     echelon,
-    endo_image,
-    endo_kernel,
     endo_power,
     enumerate_endos,
     enumerate_submodules,
@@ -249,10 +247,10 @@ def test_endo_guard_fires():
 def test_endo_kernel_image_power():
     M = FiniteModule.from_quotient(I1("x^3"))
     shift = M.actions[0]  # multiplication by x as an endomorphism
-    assert brute_span(endo_kernel(shift)) == {0, 0b100}
-    assert brute_span(endo_image(shift)) == brute_span([0b010, 0b100])
+    assert brute_span(kernel_of_map(shift)) == {0, 0b100}
+    assert brute_span(echelon(shift)) == brute_span([0b010, 0b100])
     assert endo_power(M, shift, 2) == (0b100, 0, 0)
     assert endo_power(M, shift, 3) == (0, 0, 0)
     identity = (0b001, 0b010, 0b100)
     assert endo_power(M, identity, 5) == identity
-    assert endo_kernel(identity) == ()
+    assert kernel_of_map(identity) == ()
