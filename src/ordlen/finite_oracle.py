@@ -11,6 +11,7 @@ length theory at finite length.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import GuardError
@@ -18,6 +19,8 @@ from .monomial import Monomial, MonomialIdeal, member
 
 SUBMODULE_DIM_CAP = 8
 ENDO_DIM_CAP = 5
+# Largest box of exponents from_quotient may scan for its basis.
+MAX_BOX_CELLS = 10**4
 
 
 # ----------------------------------------------------------------------
@@ -137,6 +140,11 @@ class FiniteModule(NamedTuple):
                     f"not Artinian: no pure power of variable {j} among the generators"
                 )
             caps.append(min(pure))
+        volume = math.prod(caps)
+        if volume > MAX_BOX_CELLS:
+            raise GuardError(
+                f"the standard-monomial box has {volume} cells, over the bound of {MAX_BOX_CELLS}"
+            )
         basis = [
             Monomial(e)
             for e in itertools.product(*(range(c) for c in caps))

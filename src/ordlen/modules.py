@@ -42,7 +42,8 @@ from .monomial import (
 )
 from .ordinal import Ordinal
 
-# Associated-prime enumeration walks all 2^n variable subsets.
+# fcyc walks the subsets of the variables that occur in the denominator,
+# up to 2^n of them.
 DEFAULT_MAX_VARS = 12
 MAX_DIM_ENV = "ORDLEN_MAX_DIM"
 
@@ -140,8 +141,14 @@ def fcyc(module: MonomialModule) -> Cycle:
     outside P and whose head lies in I : x_F^infinity
     (Sturmfels-Trung-Vogel).
     Only finitely many primes carry weight; they are exactly the
-    associated primes of the module.  The variable guard runs before the
-    cache, so a cached module is refused like a new one.
+    associated primes of the module.  Those contain J, since
+    Ass(I/J) <= Ass(R/J) (Hosten-Smith, "Monomial ideals"), so only the
+    candidate primes are visited: the sets of variables that occur in J
+    and meet the support of every generator of J.  Elsewhere the weight
+    is 0, because a kept variable outside J has no torsion, and a
+    generator of J that becomes a unit makes I and J agree.  The
+    variable guard runs before the cache, so a cached module is refused
+    like a new one.
     """
     if module.n > _max_vars():
         raise GuardError(
@@ -156,9 +163,14 @@ def _fcyc(module: MonomialModule) -> Cycle:
     n = module.n
     if module.is_zero:
         return Cycle.zero(n)
+    supports = {sum(1 << i for i in g.support) for g in module.J.gens}
+    occurring = sorted({i for g in module.J.gens for i in g.support})
     terms = []
-    for size in range(n + 1):
-        for combo in itertools.combinations(range(n), size):
+    for size in range(len(occurring) + 1):
+        for combo in itertools.combinations(occurring, size):
+            mask = sum(1 << i for i in combo)
+            if not all(mask & s for s in supports):
+                continue
             c = h0_count(*localize_pair(module.I, module.J, combo))
             if c:
                 terms.append((MonomialPrime.of(n, combo), c))

@@ -38,6 +38,13 @@ class Monomial(Frozen):
             raise ValueError(f"negative exponent in {e!r}")
         object.__setattr__(self, "exps", e)
 
+    @classmethod
+    def _trusted(cls, exps: tuple[int, ...]) -> "Monomial":
+        """Wrap a tuple of naturals, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "exps", exps)
+        return self
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -91,10 +98,6 @@ class Monomial(Frozen):
     def zeroed(self, i: int) -> "Monomial":
         return Monomial(tuple(0 if j == i else a for j, a in enumerate(self.exps)))
 
-    def restricted(self, keep: Sequence[int]) -> "Monomial":
-        """Project onto the listed variable positions (in the given order)."""
-        return Monomial(tuple(self.exps[i] for i in keep))
-
     def to_text(self, names: Sequence[str]) -> str:
         if self.is_one:
             return "1"
@@ -110,14 +113,15 @@ class Monomial(Frozen):
         return f"Monomial({self.exps!r})"
 
 
-def _minimalize(monomials: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    """Minimal generating set: drop every monomial a proper divisor also generates."""
-    unique = sorted(set(monomials), key=lambda m: (m.degree, m.exps))
-    kept: list[Monomial] = []
-    for m in unique:
-        if not any(g.divides(m) for g in kept):
-            kept.append(m)
-    return tuple(kept)
+def _minimal_gens(exps: Iterable[tuple[int, ...]]) -> tuple[Monomial, ...]:
+    """Minimal generators of the ideal the exponent vectors generate,
+    sorted by degree and then exponents: every vector a kept one divides
+    is dropped."""
+    kept: list[tuple[int, ...]] = []
+    for e in sorted(set(exps), key=lambda e: (sum(e), e)):
+        if not any(all(map(int.__le__, g, e)) for g in kept):
+            kept.append(e)
+    return tuple(map(Monomial._trusted, kept))
 
 
 class MonomialIdeal(Frozen):
@@ -139,7 +143,16 @@ class MonomialIdeal(Frozen):
         for g in self.gens:
             if g.n != self.n:
                 raise ValueError(f"generator {g!r} does not live in {self.n} variables")
-        object.__setattr__(self, "gens", _minimalize(self.gens))
+        object.__setattr__(self, "gens", _minimal_gens(g.exps for g in self.gens))
+
+    @classmethod
+    def _trusted(cls, n: int, exps: Iterable[tuple[int, ...]]) -> "MonomialIdeal":
+        """The ideal generated by exponent vectors of naturals of length n,
+        unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "gens", _minimal_gens(exps))
+        return self
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -259,12 +272,14 @@ def localize_pair(
     """Invert the variables outside ``keep`` in both ideals.
 
     Inverted variables become units, so their exponents are dropped and
-    the generators re-minimalized over the kept variables.
+    the generators re-minimalized over the kept variables.  Projections
+    of valid exponent vectors are valid, so both ideals are built
+    unchecked.
     """
     keep = tuple(sorted(keep))
     nn = len(keep)
-    num = MonomialIdeal(nn, tuple(g.restricted(keep) for g in numerator.gens))
-    den = MonomialIdeal(nn, tuple(g.restricted(keep) for g in denominator.gens))
+    num = MonomialIdeal._trusted(nn, (tuple(g.exps[i] for i in keep) for g in numerator.gens))
+    den = MonomialIdeal._trusted(nn, (tuple(g.exps[i] for i in keep) for g in denominator.gens))
     return num, den
 
 

@@ -37,10 +37,9 @@ def power_bound(gens: list[Exp], n: int) -> int:
 
 def torsion_member(m: Exp, gens: list[Exp], n: int) -> bool:
     """Whether a power of every variable pushes m into the ideal: such a
-    monomial is killed by a power of the maximal ideal in the quotient."""
-    if not gens:
-        return False
-    b = power_bound(gens, n) + max(m)
+    monomial is killed by a power of the maximal ideal in the quotient.
+    With no variables every monomial is."""
+    b = power_bound(gens, n) + max(m, default=0)
     return all(member(scale(m, j, b), gens) for j in range(n))
 
 
@@ -78,6 +77,23 @@ def h0_count(i_gens: list[Exp], j_gens: list[Exp], n: int, cap: int) -> int:
         if torsion_member(m, j_gens, n):
             count += 1
     return count
+
+
+def fcyc(i_gens: list[Exp], j_gens: list[Exp], n: int) -> dict[tuple[int, ...], int]:
+    """The nonzero weights of the fundamental cycle of I/J, keyed by the
+    sorted variables of each prime: at every one of the 2^n primes, the
+    torsion count of I/J with the variables outside the prime set to 1.
+    A torsion monomial's exponents stay below the largest exponent of
+    the localized J, so a box of that size holds them all."""
+    weights = {}
+    for size in range(n + 1):
+        for keep in itertools.combinations(range(n), size):
+            li = [tuple(g[i] for i in keep) for g in i_gens]
+            lj = [tuple(g[i] for i in keep) for g in j_gens]
+            count = h0_count(li, lj, size, power_bound(lj, size) - 1)
+            if count:
+                weights[keep] = count
+    return weights
 
 
 def colon_member(m: Exp, gens: list[Exp], by: Exp) -> bool:

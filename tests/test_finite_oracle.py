@@ -7,6 +7,7 @@ import pytest
 
 from ordlen.errors import GuardError
 from ordlen.finite_oracle import (
+    MAX_BOX_CELLS,
     FiniteModule,
     closure,
     echelon,
@@ -131,6 +132,11 @@ def test_from_quotient_basis_and_actions():
     # each variable sends 1 to itself and kills x, y
     assert M.actions[0] == (0b100, 0, 0)
     assert M.actions[1] == (0b010, 0, 0)
+
+
+def test_from_quotient_guards_the_box():
+    with pytest.raises(GuardError, match=f"4000000 cells, over the bound of {MAX_BOX_CELLS}"):
+        FiniteModule.from_quotient(I2("x^2000, y^2000"))
 
 
 def test_from_quotient_rejects_non_artinian():

@@ -9,6 +9,7 @@ import brute
 from test_acceptance import Budget
 from ordlen.corpus import all_ideals, random_contained_pairs
 from ordlen.cycles import Cycle, MonomialPrime
+from ordlen import modules
 from ordlen.errors import GuardError
 from ordlen.modules import (
     MonomialModule,
@@ -39,6 +40,7 @@ from ordlen.monomial import (
     contains,
     h0_count,
     ideal_of_prime,
+    localize_pair,
     member,
     parse_ideal,
     parse_monomial,
@@ -157,6 +159,33 @@ def test_fcyc_counts_standard_pairs_by_free_set():
                     if f == free and brute.saturation_member(head, ig, by, n)
                 )
                 assert cycle.coeff(prime) == expected, (J, I, free)
+
+
+def test_fcyc_matches_the_full_prime_loop():
+    """fcyc visits only the candidate primes; brute.fcyc visits all 2^n
+    and must find the same weights."""
+    names = ("a", "b", "c", "d", "e", "f")
+
+    def ideal(text, n=6):
+        return parse_ideal(text, names[:n])
+
+    cases = [
+        # J = 0, with I = R and with a proper I
+        MonomialModule.full_ring(5),
+        MonomialModule(5, ideal("a*b, c^2", 5), ideal("0", 5)),
+        # I = R; e and f occur in no generator of J, a^2 is in one variable
+        MonomialModule.quotient_ring(ideal("a^2, a*b, c^3*d")),
+        MonomialModule.quotient_ring(ideal("b, a^2*c, a*d^2", 5)),
+        MonomialModule(6, ideal("a, c*d"), ideal("a^2, a*c*d, c^2*d, a*f^2")),
+        MonomialModule(6, ideal("1"), ideal("1")),
+    ]
+    for n, count in ((5, 40), (6, 25)):
+        cases += [
+            MonomialModule(n, I, J) for J, I in random_contained_pairs(n, count, seed=40 + n, d=2)
+        ]
+    for M in cases:
+        ig, jg = [g.exps for g in M.I.gens], [g.exps for g in M.J.gens]
+        assert {p.key: c for p, c in fcyc(M).terms} == brute.fcyc(ig, jg, M.n), M
 
 
 # -- dimension filtration --------------------------------------------------
@@ -448,6 +477,25 @@ def test_guard_runs_before_the_cache(monkeypatch):
     monkeypatch.setenv("ORDLEN_MAX_DIM", "3")
     with pytest.raises(GuardError):
         length(M)
+
+
+def test_fcyc_visits_only_candidate_primes(monkeypatch):
+    visits = []
+
+    def counting(*args):
+        visits.append(args[2])
+        return localize_pair(*args)
+
+    monkeypatch.setattr(modules, "localize_pair", counting)
+    fcyc.cache_clear()
+    names = tuple(f"x{i + 1}" for i in range(12))
+    M = MonomialModule.quotient_ring(parse_ideal("x1^2, x1*x2", names))
+    assert length(M) == Ordinal.parse("w^11 + w^10")
+    assert len(visits) <= 4
+    visits.clear()
+    monkeypatch.setenv("ORDLEN_MAX_DIM", "13")
+    assert length(MonomialModule.full_ring(13)) == Ordinal.omega_power(13)
+    assert visits == [()]
 
 
 def test_large_exponent_lengths_stay_fast():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
+from ordlen.corpus import random_contained_pairs
 from ordlen.cycles import MonomialPrime
 from ordlen.monomial import (
     Monomial,
@@ -58,12 +59,7 @@ def test_monomial_operations():
     assert a.pow(3) == Monomial((6, 3))
     assert Monomial.one(2).divides(a)
     assert a.degree == 3 and a.support == (0, 1)
-
-
-def test_monomial_zeroed_and_restricted():
-    a = M2("x^2*y")
     assert a.zeroed(0) == Monomial((0, 1))
-    assert a.restricted((1,)) == Monomial((1,))
 
 
 def test_monomial_validation():
@@ -277,6 +273,27 @@ def test_localize_pair_projects_and_minimalizes():
     assert num.is_unit
     num, den = localize_pair(I2("1"), I2("x^2, x*y"), (0, 1))
     assert den == I2("x^2, x*y")
+
+
+def test_localize_pair_matches_the_checked_construction():
+    """The unchecked ideals localize_pair builds equal, hash like and
+    order their generators like the validated constructor's, and the
+    validated paths still refuse a negative exponent."""
+    for n in range(1, 7):
+        for J, I in random_contained_pairs(n, 12, seed=60 + n, d=3):
+            for size in range(n + 1):
+                for keep in itertools.combinations(range(n), size):
+                    got = localize_pair(I, J, keep)
+                    for ideal, built in zip((I, J), got):
+                        checked = MonomialIdeal(
+                            size, tuple(Monomial(tuple(g.exps[i] for i in keep)) for g in ideal.gens)
+                        )
+                        assert built == checked and hash(built) == hash(checked), (ideal, keep)
+                        assert built.gens == checked.gens, (ideal, keep)
+    with pytest.raises(ParseError):
+        I2("x^-1, y")
+    with pytest.raises(ValueError):
+        ideal_from_json({"vars": ["x", "y"], "gens": [[-1, 0]]})
 
 
 def test_h0_count_known_values():
