@@ -25,7 +25,7 @@ from .corpus import (
     random_ideal,
     sandwich_numerators,
 )
-from .endo_fixture import check_endo_fixture
+from .endo_fixture import DEFAULT_TRUNCATION, check_endo_fixture
 from .finite_oracle import (
     FiniteModule,
     echelon,
@@ -76,7 +76,7 @@ class Corpus:
     max_deg: int = 3
     seed: int = 0
     sample: int = DEFAULT_SAMPLE
-    truncation: int | None = None
+    truncation: int = DEFAULT_TRUNCATION
 
     @cached_property
     def ideals(self) -> list[MonomialIdeal]:
@@ -490,12 +490,8 @@ def _oracle_artinian(corpus: Corpus) -> list[CheckResult]:
 
 
 def _endo_fixture(corpus: Corpus) -> list[CheckResult]:
-    orders = [corpus.truncation] if corpus.truncation else [4, 8]
-    return [
-        r._replace(name=f"{r.name}-N{N}")
-        for N in orders
-        for r in check_endo_fixture(N, seed=corpus.seed)
-    ]
+    N = corpus.truncation
+    return [r._replace(name=f"{r.name}-N{N}") for r in check_endo_fixture(N, seed=corpus.seed)]
 
 
 # ----------------------------------------------------------------------

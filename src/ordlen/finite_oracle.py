@@ -15,7 +15,7 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import GuardError
-from .monomial import Monomial, MonomialIdeal, member
+from .monomial import Monomial, MonomialIdeal
 
 SUBMODULE_DIM_CAP = 8
 ENDO_DIM_CAP = 5
@@ -145,22 +145,20 @@ class FiniteModule(NamedTuple):
             raise GuardError(
                 f"the standard-monomial box has {volume} cells, over the bound of {MAX_BOX_CELLS}"
             )
-        basis = [
-            Monomial(e)
-            for e in itertools.product(*(range(c) for c in caps))
-            if not member(Monomial(e), denominator)
-        ]
-        basis.sort(key=lambda m: (m.degree, m.exps))
-        index = {m: i for i, m in enumerate(basis)}
+        gens = [g.exps for g in denominator.gens]
+        cells = itertools.product(*(range(c) for c in caps))
+        basis = sorted(
+            (e for e in cells if not any(all(map(int.__le__, g, e)) for g in gens)),
+            key=lambda e: (sum(e), e),
+        )
+        index = {e: i for i, e in enumerate(basis)}
+        # the box holds every standard monomial, so an image outside the
+        # index lies in the denominator
         actions = []
         for j in range(n):
-            xj = Monomial.var(n, j)
-            table = []
-            for m in basis:
-                image = m * xj
-                table.append(0 if member(image, denominator) else 1 << index[image])
-            actions.append(tuple(table))
-        return cls(n, len(basis), tuple(actions), tuple(basis))
+            images = (e[:j] + (e[j] + 1,) + e[j + 1:] for e in basis)
+            actions.append(tuple(1 << index[m] if m in index else 0 for m in images))
+        return cls(n, len(basis), tuple(actions), tuple(map(Monomial._trusted, basis)))
 
     def apply_var(self, j: int, v: int) -> int:
         return _apply(self.actions[j], v)

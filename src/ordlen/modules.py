@@ -15,7 +15,6 @@ carries the high part.
 from __future__ import annotations
 
 import itertools
-import os
 import warnings
 from functools import lru_cache, reduce
 from typing import NamedTuple
@@ -42,15 +41,9 @@ from .monomial import (
 )
 from .ordinal import Ordinal
 
-# fcyc walks the subsets of the variables that occur in the denominator,
-# up to 2^n of them.
-DEFAULT_MAX_VARS = 12
-MAX_DIM_ENV = "ORDLEN_MAX_DIM"
-
-
-def _max_vars() -> int:
-    value = os.environ.get(MAX_DIM_ENV)
-    return int(value) if value else DEFAULT_MAX_VARS
+# fcyc walks subsets of the variables that occur in the denominator, so
+# at most 2^MAX_PRIME_VARS primes.
+MAX_PRIME_VARS = 12
 
 
 class MonomialModule(Frozen):
@@ -132,6 +125,7 @@ def localize(module: MonomialModule, prime: MonomialPrime) -> MonomialModule:
     return MonomialModule(len(keep), num, den)
 
 
+@lru_cache(maxsize=None)
 def fcyc(module: MonomialModule) -> Cycle:
     """The fundamental cycle: each monomial prime weighted by the
     classical length of the local torsion there.
@@ -146,25 +140,23 @@ def fcyc(module: MonomialModule) -> Cycle:
     candidate primes are visited: the sets of variables that occur in J
     and meet the support of every generator of J.  Elsewhere the weight
     is 0, because a kept variable outside J has no torsion, and a
-    generator of J that becomes a unit makes I and J agree.  The
-    variable guard runs before the cache, so a cached module is refused
-    like a new one.
+    generator of J that becomes a unit makes I and J agree.
+
+    A module with more than ``MAX_PRIME_VARS`` variables occurring in J
+    raises GuardError.  The guard depends on the module alone and the
+    cache stores no exception, so a refused module is refused on every
+    call.
     """
-    if module.n > _max_vars():
-        raise GuardError(
-            f"associated-prime enumeration over {module.n} variables exceeds the guard "
-            f"({_max_vars()}); set {MAX_DIM_ENV} to raise it"
-        )
-    return _fcyc(module)
-
-
-@lru_cache(maxsize=None)
-def _fcyc(module: MonomialModule) -> Cycle:
     n = module.n
     if module.is_zero:
         return Cycle.zero(n)
-    supports = {sum(1 << i for i in g.support) for g in module.J.gens}
     occurring = sorted({i for g in module.J.gens for i in g.support})
+    if len(occurring) > MAX_PRIME_VARS:
+        raise GuardError(
+            f"the prime walk over the {len(occurring)} variables that occur in the "
+            f"denominator exceeds the bound of {MAX_PRIME_VARS} (MAX_PRIME_VARS)"
+        )
+    supports = {sum(1 << i for i in g.support) for g in module.J.gens}
     terms = []
     for size in range(len(occurring) + 1):
         for combo in itertools.combinations(occurring, size):
@@ -175,10 +167,6 @@ def _fcyc(module: MonomialModule) -> Cycle:
             if c:
                 terms.append((MonomialPrime.of(n, combo), c))
     return Cycle(n, tuple(terms))
-
-
-fcyc.cache_clear = _fcyc.cache_clear
-fcyc.cache_info = _fcyc.cache_info
 
 
 def length(module: MonomialModule) -> Ordinal:
@@ -367,26 +355,38 @@ class EndoAnalysis(NamedTuple):
 
 
 def mult_endo(module: MonomialModule, r: Monomial) -> EndoAnalysis:
-    """Analyze multiplication by the monomial r on the module."""
+    """Analyze multiplication by the monomial r on the module.
+
+    The kernels of r^k, I ∩ (J : r^k), grow with k.  Once two consecutive
+    ones agree they never change again: if m in I needs r^(k+2) to reach
+    J, then m*r in I needs r^(k+1).  So the reductive power is the least
+    k >= 1 at which the kernel is the stable one, I ∩ (J : r^infinity),
+    i.e. at which h*r^k lies in J for every generator h of the stable
+    kernel.  For one generator g of J that takes k >= (g_i - h_i) / r_i
+    in each variable where g exceeds h.
+    """
     if r.n != module.n:
         raise ValueError("multiplier ambient does not match module ambient")
     I, J = module.I, module.J
 
-    def kernel_numerator(k: int) -> MonomialIdeal:
-        return intersect(colon_mono(J, r.pow(k)), I)
+    def least_power(h: tuple[int, ...]) -> int:
+        # the least k with h*r^k in J, for h in J : r^infinity; a generator
+        # of J that exceeds h in a variable r lacks never divides h*r^k
+        steps = (
+            [-((h_i - g_i) // r_i) for g_i, h_i, r_i in zip(g.exps, h, r.exps) if g_i > h_i]
+            for g in J.gens
+            if all(r_i or g_i <= h_i for g_i, h_i, r_i in zip(g.exps, h, r.exps))
+        )
+        return min(max(s, default=0) for s in steps)
 
-    def image_numerator(k: int) -> MonomialIdeal:
-        return ideal_sum(multiply(I, r.pow(k)), J)
-
-    k, kernel_k = 1, kernel_numerator(1)
-    kernel = module.submodule(kernel_k)
-    image = module.submodule(image_numerator(1))
+    stable = intersect(saturate_mono(J, r), I)
+    k = max([1, *(least_power(h.exps) for h in stable.gens)])
+    kernel = module.submodule(intersect(colon_mono(J, r), I))
+    image = module.submodule(ideal_sum(multiply(I, r), J))
     mu = length(module)
     kappa = length(kernel)
     theta = length(image)
-    while (following := kernel_numerator(k + 1)) != kernel_k:
-        k, kernel_k = k + 1, following
-    tectonics = module.submodule(ideal_sum(kernel_k, image_numerator(k)))
+    tectonics = module.submodule(ideal_sum(stable, multiply(I, r.pow(k))))
     return EndoAnalysis(
         r=r,
         kernel=kernel,
@@ -398,7 +398,7 @@ def mult_endo(module: MonomialModule, r: Monomial) -> EndoAnalysis:
         satisfies_rank_nullity=(mu == kappa.shuffle_sum(theta)),
         reductive_power=k,
         tectonics_length=length(tectonics),
-        nilpotent=contains(saturate_mono(J, r), I),
+        nilpotent=(stable == I),
         monic=(kernel.is_zero),
         open_image=(theta == mu),
     )

@@ -95,9 +95,6 @@ class Monomial(Frozen):
         """The generator self : other, i.e. max(self - other, 0) exponentwise."""
         return Monomial(tuple(max(a - b, 0) for a, b in zip(self.exps, other.exps)))
 
-    def zeroed(self, i: int) -> "Monomial":
-        return Monomial(tuple(0 if j == i else a for j, a in enumerate(self.exps)))
-
     def to_text(self, names: Sequence[str]) -> str:
         if self.is_one:
             return "1"

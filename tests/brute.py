@@ -184,3 +184,18 @@ def ass_witness(i_gens: list[Exp], j_gens: list[Exp], n: int, prime: tuple[int, 
         if minimal([tuple(max(a - b, 0) for a, b in zip(g, m)) for g in j_gens]) == want:
             return m
     return None
+
+
+def standard_basis(gens: list[Exp], n: int) -> tuple[list[Exp], list[list[int | None]]]:
+    """The standard monomials of an Artinian ideal, sorted by degree and
+    then exponents, and each variable's action on them: the index of the
+    image, or None when the image lies in the ideal.  Every standard
+    monomial lies below the largest exponent of the generators."""
+    cells = [m for m in box(n, power_bound(gens, n) - 1) if not member(m, gens)]
+    cells.sort(key=lambda e: (sum(e), e))
+    index = {m: i for i, m in enumerate(cells)}
+    actions = [
+        [None if member(scale(m, j, 1), gens) else index[scale(m, j, 1)] for m in cells]
+        for j in range(n)
+    ]
+    return cells, actions

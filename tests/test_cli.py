@@ -109,10 +109,17 @@ def test_missing_module_args_exit_2(capsys):
 
 
 def test_guard_exit_3(capsys):
-    names = ",".join(f"x{i}" for i in range(13))
-    code, _, err = run(capsys, "len", "--vars", names, "--ideal", "0")
+    names = [f"x{i}" for i in range(13)]
+    code, _, err = run(capsys, "len", "--vars", ",".join(names), "--ideal", ",".join(names))
     assert code == 3
     assert "guard violation" in err
+
+
+def test_len_one_occurring_variable_in_twenty(capsys):
+    names = ",".join(f"x{i}" for i in range(20))
+    code, out, _ = run(capsys, "len", "--vars", names, "--ideal", "x0")
+    assert code == 0
+    assert out.strip() == "w^19"
 
 
 def test_exponent_guard_exit_3(capsys):

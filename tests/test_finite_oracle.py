@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+import brute
+from ordlen.corpus import artinian_ideals_containing_power
 from ordlen.errors import GuardError
 from ordlen.finite_oracle import (
     MAX_BOX_CELLS,
@@ -132,6 +134,18 @@ def test_from_quotient_basis_and_actions():
     # each variable sends 1 to itself and kills x, y
     assert M.actions[0] == (0b100, 0, 0)
     assert M.actions[1] == (0b010, 0, 0)
+
+
+def test_from_quotient_matches_a_per_cell_construction():
+    ideals = artinian_ideals_containing_power(2, 4) + artinian_ideals_containing_power(3, 3)
+    for J in ideals:
+        cells, actions = brute.standard_basis([g.exps for g in J.gens], J.n)
+        M = FiniteModule.from_quotient(J)
+        assert (M.nvars, M.dim) == (J.n, len(cells)), J
+        assert [m.exps for m in M.labels] == cells, J
+        assert M.actions == tuple(
+            tuple(0 if i is None else 1 << i for i in row) for row in actions
+        ), J
 
 
 def test_from_quotient_guards_the_box():

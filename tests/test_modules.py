@@ -7,7 +7,7 @@ import pytest
 
 import brute
 from test_acceptance import Budget
-from ordlen.corpus import all_ideals, random_contained_pairs
+from ordlen.corpus import all_ideals, monomials_of_degree_at_most, random_contained_pairs
 from ordlen.cycles import Cycle, MonomialPrime
 from ordlen import modules
 from ordlen.errors import GuardError
@@ -426,6 +426,43 @@ def test_mult_endo_reductive_power_stabilizes():
     assert a.nilpotent
 
 
+def iterated_reductive_power(ig, jg, r):
+    """The first k >= 1 at which the kernel I ∩ (J : r^k) stops growing,
+    by iterated colons on exponent tuples."""
+
+    def kernel(k):
+        colon = brute.minimal([tuple(max(a - k * b, 0) for a, b in zip(g, r)) for g in jg])
+        return brute.intersection(ig, colon)
+
+    k = 1
+    while kernel(k + 1) != kernel(k):
+        k += 1
+    return k
+
+
+def test_reductive_power_matches_the_iterated_colons():
+    cases = 0
+    with Budget(3.0):
+        for n, count in ((1, 40), (2, 60), (3, 60)):
+            pool = monomials_of_degree_at_most(n, 2)
+            for J, I in random_contained_pairs(n, count, seed=70 + n):
+                for M in (MonomialModule(n, I, J), MonomialModule.quotient_ring(J)):
+                    ig, jg = [g.exps for g in M.I.gens], [g.exps for g in M.J.gens]
+                    for r in pool:
+                        expected = iterated_reductive_power(ig, jg, r.exps)
+                        assert mult_endo(M, r).reductive_power == expected, (M, r)
+                        cases += 1
+    assert cases >= 2000
+
+
+def test_reductive_power_of_a_huge_exponent_is_closed_form():
+    M = MonomialModule.quotient_ring(parse_ideal("x^1000000", ("x",)))
+    with Budget(1.0):
+        a = mult_endo(M, parse_monomial("x", ("x",)))
+    assert a.reductive_power == 1000000
+    assert a.nilpotent and a.kappa == Ordinal.finite(1)
+
+
 def test_mult_endo_rank_nullity_bounds_hold():
     rng = random.Random(24)
     for J in rng.sample(all_ideals(2, 3), k=15):
@@ -462,21 +499,32 @@ def test_find_submodule_with_length():
 # -- guards ------------------------------------------------------------------------
 
 
-def test_many_variable_guard(monkeypatch):
-    big = MonomialModule.full_ring(13)
-    with pytest.raises(GuardError):
-        fcyc(big)
-    monkeypatch.setenv("ORDLEN_MAX_DIM", "13")
-    assert length(big) == Ordinal.omega_power(13)
+def test_many_variable_guard():
+    names = tuple(f"x{i + 1}" for i in range(13))
+    with pytest.raises(GuardError, match="13 variables .* bound of 12 .MAX_PRIME_VARS"):
+        fcyc(MonomialModule.quotient_ring(parse_ideal("*".join(names), names)))
+    # the bound counts the variables of J, not of the ring
+    assert length(MonomialModule.full_ring(13)) == Ordinal.omega_power(13)
 
 
-def test_guard_runs_before_the_cache(monkeypatch):
-    names = ("a", "b", "c", "d")
-    M = MonomialModule.quotient_ring(parse_ideal("a^2, a*b, c*d", names))
-    assert length(M) == Ordinal.parse("2w^2 + 2w")
-    monkeypatch.setenv("ORDLEN_MAX_DIM", "3")
-    with pytest.raises(GuardError):
-        length(M)
+def test_one_occurring_variable_in_twenty():
+    names = tuple(f"x{i + 1}" for i in range(20))
+    M = MonomialModule.quotient_ring(parse_ideal("x1", names))
+    assert length(M) == Ordinal.omega_power(19)
+
+
+def test_the_cache_never_bypasses_the_guard():
+    names = tuple(f"x{i + 1}" for i in range(13))
+    refused = MonomialModule.quotient_ring(parse_ideal(", ".join(names), names))
+    before = fcyc.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(GuardError):
+            fcyc(refused)
+    assert fcyc.cache_info().currsize == before
+    M = MonomialModule.quotient_ring(parse_ideal("a^2, a*b, c*d", ("a", "b", "c", "d")))
+    first = length(M)
+    fcyc.cache_clear()
+    assert length(M) == first == Ordinal.parse("2w^2 + 2w")
 
 
 def test_fcyc_visits_only_candidate_primes(monkeypatch):
@@ -493,7 +541,6 @@ def test_fcyc_visits_only_candidate_primes(monkeypatch):
     assert length(M) == Ordinal.parse("w^11 + w^10")
     assert len(visits) <= 4
     visits.clear()
-    monkeypatch.setenv("ORDLEN_MAX_DIM", "13")
     assert length(MonomialModule.full_ring(13)) == Ordinal.omega_power(13)
     assert visits == [()]
 

@@ -59,7 +59,6 @@ def test_monomial_operations():
     assert a.pow(3) == Monomial((6, 3))
     assert Monomial.one(2).divides(a)
     assert a.degree == 3 and a.support == (0, 1)
-    assert a.zeroed(0) == Monomial((0, 1))
 
 
 def test_monomial_validation():
