@@ -243,6 +243,19 @@ def _submodule_pairs(pairs, max_deg: int):
             yield Case(M=M, A=A, B=B, binary=binary, la=la, lb=lb, join=la.join(lb), joined=joined)
 
 
+# The least degree whose pairs hold a strictly weaker join: J=(x*y), N=(y), N'=(x).
+STRICT_JOIN_DEG = 2
+JOIN_EQUAL = ("latt-join-equal", "pairs: len N ∨ len N' = len(N + N')",
+              lambda c: c.join == c.joined)
+
+
+def _join_text(c) -> str:
+    return (
+        f"J={_fmt(c.M.J)}, N={_fmt(c.A)}, N'={_fmt(c.B)}: "
+        f"{c.la} v {c.lb} = {c.join}, len(N + N') = {c.joined}"
+    )
+
+
 def _latt(corpus: Corpus) -> list[CheckResult]:
     meet, join, equal = sweep(
         _submodule_pairs(corpus.pairs["2var"], corpus.max_deg),
@@ -252,14 +265,14 @@ def _latt(corpus: Corpus) -> list[CheckResult]:
              if c.binary else None),
             ("latt-join-weaker", "pairs: len N ∨ len N' ≼ len(N + N')",
              lambda c: c.join.weaker(c.joined)),
-            ("latt-join-equal", "pairs: len N ∨ len N' = len(N + N')",
-             lambda c: c.join == c.joined),
+            JOIN_EQUAL,
         ],
-        lambda c: (
-            f"J={_fmt(c.M.J)}, N={_fmt(c.A)}, N'={_fmt(c.B)}: "
-            f"{c.la} v {c.lb} = {c.join}, len(N + N') = {c.joined}"
-        ),
+        _join_text,
     )
+    if corpus.max_deg < STRICT_JOIN_DEG:
+        # Below that degree no pair can show a strictly weaker join.
+        pairs = contained_pairs(all_ideals(2, STRICT_JOIN_DEG))
+        (equal,) = sweep(_submodule_pairs(pairs, STRICT_JOIN_DEG), [JOIN_EQUAL], _join_text)
     # An existence claim: some join is strictly weaker, so equality fails.
     shown = equal.evidence.get("witnesses")
     found = f"strictly weaker join {shown[0]}" if shown else "no strictly weaker join"

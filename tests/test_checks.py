@@ -57,6 +57,25 @@ def test_converse_search_fails_when_a_length_is_not_found(monkeypatch):
     assert not converse.passed and converse.cases == 14
 
 
+def test_strict_join_below_degree_two_is_decided_on_degree_two_pairs():
+    results = run_suites(["latt"], max_vars=2, max_deg=1)
+    assert all_passed(results)
+    (strict,) = [r for r in results if r.name == "latt-join-strict"]
+    assert strict.evidence["witnesses"][0].startswith("J=(x*y), N=(y), N'=(x):")
+
+
+def test_strict_join_fails_when_no_join_is_strictly_weaker(monkeypatch):
+    pairs = ordlen.checks._submodule_pairs
+    monkeypatch.setattr(
+        ordlen.checks, "_submodule_pairs",
+        lambda *args: (c for c in pairs(*args) if c.join == c.joined),
+    )
+    for max_deg in (1, 2):
+        results = run_suites(["latt"], max_vars=2, max_deg=max_deg)
+        (strict,) = [r for r in results if r.name == "latt-join-strict"]
+        assert not strict.passed and "no strictly weaker join" in strict.detail
+
+
 ORACLE_COUNTS = [
     ("oracle-chain-2var", 42),
     ("oracle-submodule-realization", 5),

@@ -1,11 +1,17 @@
 """Endomorphism ring of K[x, y]/(x^2, x*y): triples, laws, kernels."""
 
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+import ordlen.endo_fixture
 from ordlen.endo_fixture import (
     EndoTriple,
+    _grid,
+    _product,
+    _random_triple,
     check_endo_fixture,
     commutator,
     endo_add,
@@ -16,7 +22,6 @@ from ordlen.endo_fixture import (
     is_bijective,
     is_monic,
     is_nilpotent,
-    poly_add,
     poly_inverse,
     poly_mul,
 )
@@ -33,7 +38,6 @@ def T(u, v, *p):
 def test_poly_ops():
     assert poly_mul((1, 1), (1, 1), 2) == (1, 2)
     assert poly_mul((0, 1), (0, 1), 4) == (0, 0, 1, 0)
-    assert poly_add((1, 2), (3, 4)) == (4, 6)
     inv = poly_inverse((1, 1, 0, 0), 4)
     assert poly_mul((1, 1, 0, 0), inv, 4) == (1, 0, 0, 0)
     inv = poly_inverse((2, 3), 2)
@@ -41,6 +45,25 @@ def test_poly_ops():
     assert poly_mul((2, 3), inv, 2) == (1, 0)
     with pytest.raises(ValueError):
         poly_inverse((0, 1), 2)
+
+
+def naive_mul(p, q, order):
+    return tuple(
+        sum(p[i] * q[k - i] for i in range(k + 1) if i < len(p) and k - i < len(q))
+        for k in range(order)
+    )
+
+
+def test_poly_mul_matches_naive_convolution():
+    rng = random.Random(7)
+    for order in range(1, 9):
+        for _ in range(25):
+            p, q = (
+                [rng.randint(-5, 5) for _ in range(rng.randint(0, order + 3))] for _ in range(2)
+            )
+            assert poly_mul(p, q, order) == naive_mul(p, q, order)
+            p, q = [Fraction(a, rng.randint(1, 4)) for a in p], [Fraction(b, 3) for b in q]
+            assert poly_mul(p, q, order) == naive_mul(p, q, order)
 
 
 # -- triple basics -------------------------------------------------------------
@@ -81,6 +104,39 @@ def test_ring_laws_small():
         endo_compose(f, g), endo_compose(f, h)
     )
     assert endo_sub(f, f).is_zero()
+
+
+def formula_compose(f, g):
+    (uf, vf, pf), (ug, vg, pg) = f, g
+    return (uf * ug, uf * vg + vf * pg[0], naive_mul(pf, pg, len(pf)))
+
+
+def formula_add(f, g, sign=1):
+    """f + g, or f − g with sign −1, slot by slot."""
+    (uf, vf, pf), (ug, vg, pg) = f, g
+    return (uf + sign * ug, vf + sign * vg, tuple(a + sign * b for a, b in zip(pf, pg)))
+
+
+def triple_pairs():
+    """Grid pairs, seeded random pairs, and pairs of inverted triples."""
+    rng = random.Random(3)
+    grid = _grid(4)
+    yield from zip(grid, reversed(grid))
+    randoms = [_random_triple(rng, 4) for _ in range(200)]
+    yield from zip(randoms, rng.sample(randoms, len(randoms)))
+    inverted = [invert(f) for f in randoms if is_bijective(f)]
+    yield from zip(inverted, reversed(inverted))
+    yield from zip(inverted, randoms)
+
+
+def test_triple_arithmetic_matches_the_formulas():
+    for f, g in triple_pairs():
+        plain_f, plain_g = tuple(f), tuple(g)
+        fg, gf = formula_compose(plain_f, plain_g), formula_compose(plain_g, plain_f)
+        assert tuple(endo_compose(f, g)) == fg
+        assert tuple(endo_add(f, g)) == formula_add(plain_f, plain_g)
+        assert tuple(endo_sub(f, g)) == formula_add(plain_f, plain_g, -1)
+        assert tuple(commutator(f, g)) == formula_add(fg, gf, -1)
 
 
 # -- classification -------------------------------------------------------------
@@ -138,3 +194,31 @@ def test_check_endo_fixture_passes():
 def test_check_endo_fixture_rejects_tiny_order():
     with pytest.raises(ValueError):
         check_endo_fixture(order=3)
+
+
+def test_check_endo_fixture_is_repeatable_and_leaves_no_memo():
+    first = check_endo_fixture(4, seed=1)
+    assert _product.cache_info().currsize == 0
+    assert check_endo_fixture(4, seed=1) == first
+    assert _product.cache_info().currsize == 0
+
+
+def test_check_endo_fixture_survives_rebound_arithmetic(monkeypatch):
+    """A profiler may rebind the arithmetic in every ordlen namespace that
+    holds it; the fixture must still pass with the same records."""
+    expected = check_endo_fixture(4)
+    calls = dict.fromkeys(("poly_mul", "endo_compose", "commutator"), 0)
+    for name in calls:
+        original = getattr(ordlen.endo_fixture, name)
+
+        def wrapper(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname == "ordlen" or modname.startswith("ordlen."):
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, wrapper)
+    assert check_endo_fixture(4) == expected
+    assert all(calls.values()), calls
