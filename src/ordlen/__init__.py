@@ -6,27 +6,23 @@ finite-field brute-force oracle and a symbolic endomorphism fixture
 for independent verification.
 """
 
-from .cycles import Cycle, MonomialPrime, binary_cycle, binord
+from .cycles import Cycle, MonomialPrime, binord
 from .errors import GuardError, ParseError
 from .modules import (
     EndoAnalysis,
     ModuleProfile,
     MonomialModule,
     ass,
-    ass_poset_length,
     dim_filtration,
     fcyc,
     is_binary_module,
     is_open_submodule,
-    is_univalent,
     length,
     localize,
     mult_endo,
     open_via_witnesses,
     prim_kernel,
     profile,
-    split_binary_submodule,
-    univalent_data,
 )
 from .monomial import (
     Monomial,
@@ -63,8 +59,6 @@ __all__ = [
     "ParseError",
     "ZERO",
     "ass",
-    "ass_poset_length",
-    "binary_cycle",
     "binord",
     "colon_ideal",
     "colon_mono",
@@ -77,7 +71,6 @@ __all__ = [
     "intersect",
     "is_binary_module",
     "is_open_submodule",
-    "is_univalent",
     "length",
     "localize",
     "member",
@@ -89,6 +82,4 @@ __all__ = [
     "profile",
     "saturate",
     "saturate_mono",
-    "split_binary_submodule",
-    "univalent_data",
 ]

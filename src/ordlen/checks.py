@@ -189,7 +189,7 @@ def _sandwiches(pairs, max_deg: int):
     """Submodules N/J of I/J with N generated over J by up to two monomials."""
     for J, I in pairs:
         M = MonomialModule(J.n, I, J)
-        for N in sandwich_numerators(J, I, max_deg, 2):
+        for N in sandwich_numerators(J, I, max_deg):
             yield Case(J=J, I=N, M=M)
 
 
@@ -235,7 +235,7 @@ def _submodule_pairs(pairs, max_deg: int):
     for J, I in pairs:
         M = MonomialModule(J.n, I, J)
         binary = length(M).is_binary
-        family = list(sandwich_numerators(J, I, max_deg, 2))
+        family = list(sandwich_numerators(J, I, max_deg))
         lengths = {N: length(M.submodule(N)) for N in family}
         for A, B in itertools.combinations_with_replacement(family, 2):
             la, lb = lengths[A], lengths[B]

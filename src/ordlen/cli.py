@@ -29,7 +29,6 @@ from .modules import (
     profile,
 )
 from .monomial import (
-    default_names,
     format_ideal,
     ideal_to_json,
     parse_ideal,

@@ -15,20 +15,18 @@ from typing import Iterator
 
 from .monomial import Monomial, MonomialIdeal, contains, ideal_sum, member, multiply
 
-DEFAULT_DEGREE = 3
-
 
 def monomials_of_degree_at_most(n: int, d: int) -> list[Monomial]:
     out = [
-        Monomial(e)
-        for e in itertools.product(*(range(d + 1) for _ in range(n)))
-        if sum(e) <= d
+        Monomial(tuple(map(vs.count, range(n))))
+        for k in range(d + 1)
+        for vs in itertools.combinations_with_replacement(range(n), k)
     ]
     out.sort(key=lambda m: (m.degree, m.exps))
     return out
 
 
-def all_ideals(n: int, d: int = DEFAULT_DEGREE) -> list[MonomialIdeal]:
+def all_ideals(n: int, d: int) -> list[MonomialIdeal]:
     """Every monomial ideal generated in degree ≤ d, zero and unit included."""
     pool = monomials_of_degree_at_most(n, d)
     ideals = []
@@ -47,18 +45,17 @@ def contained_pairs(ideals: list[MonomialIdeal]) -> list[tuple[MonomialIdeal, Mo
     return [(j, i) for j in ideals for i in ideals if contains(i, j)]
 
 
-def sandwich_numerators(
-    J: MonomialIdeal, I: MonomialIdeal, d: int = DEFAULT_DEGREE, max_extras: int = 2
-) -> Iterator[MonomialIdeal]:
-    """Numerators I′ with J ⊆ I′ ⊆ I generated over J by at most
-    ``max_extras`` monomials of degree ≤ d, each once, J first."""
-    pool = [
-        m
-        for m in monomials_of_degree_at_most(J.n, d)
-        if member(m, I) and not member(m, J)
-    ]
+def sandwich_pool(J: MonomialIdeal, I: MonomialIdeal, d: int) -> list[Monomial]:
+    """The monomials of degree ≤ d in I and outside J."""
+    return [m for m in monomials_of_degree_at_most(J.n, d) if member(m, I) and not member(m, J)]
+
+
+def sandwich_numerators(J: MonomialIdeal, I: MonomialIdeal, d: int) -> Iterator[MonomialIdeal]:
+    """Numerators I′ with J ⊆ I′ ⊆ I generated over J by at most two
+    monomials of ``sandwich_pool``, each once, J first."""
+    pool = sandwich_pool(J, I, d)
     seen = set()
-    for size in range(max_extras + 1):
+    for size in range(3):
         for combo in itertools.combinations(pool, size):
             ideal = ideal_sum(J, MonomialIdeal(J.n, combo))
             if ideal.gens not in seen:
@@ -66,7 +63,7 @@ def sandwich_numerators(
                 yield ideal
 
 
-def artinian_ideals_containing_power(n: int, k: int = 4) -> list[MonomialIdeal]:
+def artinian_ideals_containing_power(n: int, k: int) -> list[MonomialIdeal]:
     """All monomial ideals containing the k-th power of the maximal ideal.
 
     Such an ideal is determined by the order ideal of standard monomials
@@ -114,14 +111,15 @@ def _down_closed_subsets(box, below):
     return results
 
 
-def random_ideal(rng: random.Random, n: int, d: int, max_gens: int = 4) -> MonomialIdeal:
+def random_ideal(rng: random.Random, n: int, d: int) -> MonomialIdeal:
+    """Up to four distinct monomials of degree ≤ d, drawn from ``rng``."""
     pool = monomials_of_degree_at_most(n, d)
-    gens = rng.sample(pool, k=rng.randint(0, max_gens))
+    gens = rng.sample(pool, k=rng.randint(0, 4))
     return MonomialIdeal(n, tuple(gens))
 
 
 def random_contained_pairs(
-    n: int, count: int, seed: int = 0, d: int = DEFAULT_DEGREE
+    n: int, count: int, seed: int, d: int
 ) -> list[tuple[MonomialIdeal, MonomialIdeal]]:
     """Seeded random pairs (J, I) with J ⊆ I: J is built from multiples
     of I's generators (plus the tail cases zero/unit) so containment is

@@ -118,32 +118,9 @@ class Cycle(Frozen):
     def support(self) -> tuple[MonomialPrime, ...]:
         return tuple(p for p, _ in self.terms)
 
-    def coeff(self, p: MonomialPrime) -> int:
-        for q, c in self.terms:
-            if q == p:
-                return c
-        return 0
-
     @property
     def is_binary(self) -> bool:
         return all(c <= 1 for _, c in self.terms)
-
-    @property
-    def valence(self) -> int:
-        return sum(c for _, c in self.terms)
-
-    def __add__(self, other: "Cycle") -> "Cycle":
-        if not isinstance(other, Cycle):
-            return NotImplemented
-        if other.n != self.n:
-            raise ValueError(f"cannot add cycles with ambients {self.n} and {other.n}")
-        return Cycle(self.n, self.terms + other.terms)
-
-    def weaker(self, other: "Cycle") -> bool:
-        """Termwise coefficient comparison."""
-        if other.n != self.n:
-            raise ValueError(f"cannot compare cycles with ambients {self.n} and {other.n}")
-        return all(c <= other.coeff(p) for p, c in self.terms)
 
     def to_text(self, names: Sequence[str]) -> str:
         if not self.terms:
@@ -156,20 +133,7 @@ class Cycle(Frozen):
             "terms": [{"prime": list(p.key), "coeff": c} for p, c in self.terms],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Cycle":
-        n = int(data["n"])
-        terms = tuple(
-            (MonomialPrime.of(n, t["prime"]), int(t["coeff"])) for t in data["terms"]
-        )
-        return cls(n, terms)
-
 
 def binord(cycle: Cycle) -> Ordinal:
     """The ordinal with w^d coefficient equal to the cycle's mass in dimension d."""
     return Ordinal.from_pairs((p.dim, c) for p, c in cycle.terms)
-
-
-def binary_cycle(n: int, primes: Iterable[MonomialPrime]) -> Cycle:
-    """The cycle putting coefficient one on each prime of the given set."""
-    return Cycle(n, tuple((p, 1) for p in set(primes)))

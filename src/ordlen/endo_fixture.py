@@ -96,11 +96,11 @@ class EndoTriple(NamedTuple):
         return len(self.p)
 
     @classmethod
-    def zero(cls, order: int = DEFAULT_TRUNCATION) -> "EndoTriple":
+    def zero(cls, order: int) -> "EndoTriple":
         return cls(0, 0, (0,) * order)
 
     @classmethod
-    def identity(cls, order: int = DEFAULT_TRUNCATION) -> "EndoTriple":
+    def identity(cls, order: int) -> "EndoTriple":
         return cls(1, 0, (1,) + (0,) * (order - 1))
 
     def is_zero(self) -> bool:

@@ -143,7 +143,8 @@ class FiniteModule(NamedTuple):
         volume = math.prod(caps)
         if volume > MAX_BOX_CELLS:
             raise GuardError(
-                f"the standard-monomial box has {volume} cells, over the bound of {MAX_BOX_CELLS}"
+                f"the standard-monomial box has {volume} cells, over the bound of "
+                f"{MAX_BOX_CELLS} (MAX_BOX_CELLS)"
             )
         gens = [g.exps for g in denominator.gens]
         cells = itertools.product(*(range(c) for c in caps))
@@ -170,16 +171,6 @@ class FiniteModule(NamedTuple):
             for b in basis
         )
 
-    def socle(self) -> tuple[int, ...]:
-        """Everything killed by every variable."""
-        if self.dim == 0:
-            return ()
-        images = [
-            _concat([self.actions[j][i] for j in range(self.nvars)], self.dim)
-            for i in range(self.dim)
-        ]
-        return kernel_of_map(images)
-
 
 def closure(module: FiniteModule, vectors: Iterable[int]) -> tuple[int, ...]:
     """Echelon basis of the smallest action-stable subspace containing
@@ -201,8 +192,8 @@ def enumerate_submodules(module: FiniteModule) -> list[tuple[int, ...]]:
     module included."""
     if module.dim > SUBMODULE_DIM_CAP:
         raise GuardError(
-            f"submodule enumeration at dimension {module.dim} exceeds the guard "
-            f"({SUBMODULE_DIM_CAP})"
+            f"submodule enumeration at dimension {module.dim} exceeds the bound of "
+            f"{SUBMODULE_DIM_CAP} (SUBMODULE_DIM_CAP)"
         )
     all_vectors = range(1, 1 << module.dim)
     seen: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
@@ -255,7 +246,8 @@ def enumerate_endos(module: FiniteModule) -> list[tuple[int, ...]]:
     d = module.dim
     if d > ENDO_DIM_CAP:
         raise GuardError(
-            f"endomorphism enumeration at dimension {d} exceeds the guard ({ENDO_DIM_CAP})"
+            f"endomorphism enumeration at dimension {d} exceeds the bound of "
+            f"{ENDO_DIM_CAP} (ENDO_DIM_CAP)"
         )
     if d == 0:
         return [()]

@@ -19,7 +19,7 @@ import warnings
 from functools import lru_cache, reduce
 from typing import NamedTuple
 
-from .corpus import sandwich_numerators
+from .corpus import sandwich_numerators, sandwich_pool
 from .cycles import Cycle, MonomialPrime, binord
 from .errors import GuardError
 from .frozen import Frozen
@@ -44,6 +44,10 @@ from .ordinal import Ordinal
 # fcyc walks subsets of the variables that occur in the denominator, so
 # at most 2^MAX_PRIME_VARS primes.
 MAX_PRIME_VARS = 12
+# find_submodule_with_length adds monomials of degree at most
+# SEARCH_DEGREE, and tries at most MAX_SEARCH_CANDIDATES numerators.
+SEARCH_DEGREE = 4
+MAX_SEARCH_CANDIDATES = 5000
 
 
 class MonomialModule(Frozen):
@@ -104,7 +108,14 @@ class MonomialModule(Frozen):
 
 
 class ModuleProfile(NamedTuple):
-    """Summary invariants of a module; zeros throughout for the zero module."""
+    """Summary invariants of a module; zeros throughout for the zero module.
+
+    ``dim``, ``order``, ``valence`` and ``is_binary`` read the length, not
+    the cycle: ``is_binary`` says every w^d coefficient of the length is 0
+    or 1.  A binary module, as ``is_binary_module`` tests, has every cycle
+    coefficient 0 or 1 instead.  The two differ on R/(xy): its cycle
+    [x] + [y] is binary, but its length 2w is not.
+    """
 
     fcyc: Cycle
     length: Ordinal
@@ -194,10 +205,6 @@ def profile(module: MonomialModule) -> ModuleProfile:
     )
 
 
-def module_dim(module: MonomialModule) -> int:
-    return profile(module).dim
-
-
 def is_binary_module(module: MonomialModule) -> bool:
     return fcyc(module).is_binary
 
@@ -279,17 +286,6 @@ def ass_witnesses(module: MonomialModule) -> dict[MonomialPrime, Monomial]:
     return found
 
 
-def split_binary_submodule(module: MonomialModule) -> tuple[MonomialModule, tuple[Monomial, ...]]:
-    """The submodule generated by one witness monomial per associated
-    prime, together with the witnesses (sorted by their prime)."""
-    if module.is_zero:
-        raise ValueError("the zero module cannot be split")
-    witnesses = ass_witnesses(module)
-    ordered = tuple(witnesses[p] for p in sorted(witnesses, key=lambda p: p.key))
-    numerator = ideal_sum(module.J, MonomialIdeal(module.n, ordered))
-    return module.submodule(numerator), ordered
-
-
 def open_via_witnesses(module: MonomialModule, numerator: MonomialIdeal) -> bool:
     """Openness test for submodules of a binary module: the submodule
     must meet the cyclic module generated by every associated-prime
@@ -304,31 +300,6 @@ def open_via_witnesses(module: MonomialModule, numerator: MonomialIdeal) -> bool
         if intersect(sub.I, generated) == module.J:
             return False
     return True
-
-
-# ----------------------------------------------------------------------
-# univalence
-# ----------------------------------------------------------------------
-
-
-class UnivalentData(NamedTuple):
-    prime: MonomialPrime
-    annihilator: MonomialIdeal
-    annihilator_is_the_prime: bool
-
-
-def is_univalent(module: MonomialModule) -> bool:
-    """Valence one: the fundamental cycle is a single reduced prime."""
-    return length(module).valence == 1
-
-
-def univalent_data(module: MonomialModule) -> UnivalentData:
-    """The unique associated prime and the annihilator, which must agree."""
-    if not is_univalent(module):
-        raise ValueError("module is not univalent")
-    p = ass(module)[0]
-    annm = annihilator(module)
-    return UnivalentData(p, annm, annm == ideal_of_prime(p))
 
 
 # ----------------------------------------------------------------------
@@ -404,29 +375,26 @@ def mult_endo(module: MonomialModule, r: Monomial) -> EndoAnalysis:
     )
 
 
-def ass_poset_length(module: MonomialModule) -> int:
-    """Length (element count) of the longest chain of associated primes."""
-    if module.is_zero:
-        raise ValueError("the zero module has no associated primes")
-    primes = ass(module)
-    best: dict[MonomialPrime, int] = {}
-    for p in sorted(primes, key=lambda q: len(q.gens)):
-        below = [best[q] for q in primes if q != p and p.contains(q) and q in best]
-        best[p] = 1 + max(below, default=0)
-    return max(best.values())
-
-
-def find_submodule_with_length(
-    module: MonomialModule, target: Ordinal, max_degree: int = 4, max_extras: int = 2
-) -> MonomialIdeal | None:
+def find_submodule_with_length(module: MonomialModule, target: Ordinal) -> MonomialIdeal | None:
     """Best-effort search for a submodule of the given length.
 
     Tries the numerators ``sandwich_numerators`` yields: J itself and J
-    plus up to ``max_extras`` monomials of I of degree at most
-    ``max_degree``.  Returns a numerator on success and None when the
-    search bound is exhausted; exhaustion is not a counterexample.
+    plus up to two monomials of I of degree at most ``SEARCH_DEGREE``.
+    Returns a numerator on success and None when the search bound is
+    exhausted; exhaustion is not a counterexample.
+
+    With p such monomials outside J there are at most 1 + p + p(p-1)/2
+    candidates; a search over more than ``MAX_SEARCH_CANDIDATES`` raises
+    GuardError before any candidate is tried.
     """
-    for numerator in sandwich_numerators(module.J, module.I, max_degree, max_extras):
+    p = len(sandwich_pool(module.J, module.I, SEARCH_DEGREE))
+    candidates = 1 + p + p * (p - 1) // 2
+    if candidates > MAX_SEARCH_CANDIDATES:
+        raise GuardError(
+            f"the submodule search over {candidates} candidate numerators exceeds "
+            f"the bound of {MAX_SEARCH_CANDIDATES} (MAX_SEARCH_CANDIDATES)"
+        )
+    for numerator in sandwich_numerators(module.J, module.I, SEARCH_DEGREE):
         if length(module.submodule(numerator)) == target:
             return numerator
     return None

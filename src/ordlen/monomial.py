@@ -58,8 +58,8 @@ class Monomial(Frozen):
         return cls((0,) * n)
 
     @classmethod
-    def var(cls, n: int, i: int, power: int = 1) -> "Monomial":
-        return cls(tuple(power if j == i else 0 for j in range(n)))
+    def var(cls, n: int, i: int) -> "Monomial":
+        return cls(tuple(1 if j == i else 0 for j in range(n)))
 
     @property
     def n(self) -> int:
@@ -253,11 +253,6 @@ def ideal_of_prime(p: MonomialPrime) -> MonomialIdeal:
     return MonomialIdeal(p.n, tuple(Monomial.var(p.n, i) for i in p.gens))
 
 
-def variable_ideal(n: int) -> MonomialIdeal:
-    """The ideal generated by all variables (the fine maximal ideal)."""
-    return MonomialIdeal(n, tuple(Monomial.var(n, i) for i in range(n)))
-
-
 # ----------------------------------------------------------------------
 # localization and torsion length of a subquotient presentation
 # ----------------------------------------------------------------------
@@ -311,7 +306,8 @@ def h0_count(numerator: MonomialIdeal, denominator: MonomialIdeal) -> int:
     lines = math.prod(caps[j] for j in others)
     if lines > MAX_H0_LINES:
         raise GuardError(
-            f"torsion count would scan {lines} box lines, over the bound of {MAX_H0_LINES}"
+            f"torsion count would scan {lines} box lines, over the bound of "
+            f"{MAX_H0_LINES} (MAX_H0_LINES)"
         )
     # each generator as (exponent of v, exponents of the other variables)
     num = [(e[v], [e[j] for j in others]) for e in (g.exps for g in numerator.gens)]
@@ -390,8 +386,3 @@ def format_ideal(ideal: MonomialIdeal, names: Sequence[str]) -> str:
 
 def ideal_to_json(ideal: MonomialIdeal, names: Sequence[str]) -> dict:
     return {"vars": list(names), "gens": [list(g.exps) for g in ideal.gens]}
-
-
-def ideal_from_json(data: dict) -> tuple[MonomialIdeal, tuple[str, ...]]:
-    names = tuple(data["vars"])
-    return MonomialIdeal.of(len(names), [tuple(g) for g in data["gens"]]), names

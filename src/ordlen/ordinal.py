@@ -82,9 +82,9 @@ class Ordinal(Frozen):
         return cls((n,))
 
     @classmethod
-    def omega_power(cls, d: int, coeff: int = 1) -> "Ordinal":
-        """The ordinal coeff * w^d."""
-        return cls((0,) * d + (coeff,))
+    def omega_power(cls, d: int) -> "Ordinal":
+        """The ordinal w^d."""
+        return cls((0,) * d + (1,))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Ordinal":
@@ -136,10 +136,6 @@ class Ordinal(Frozen):
     def is_binary(self) -> bool:
         """True when every coefficient is 0 or 1."""
         return all(a <= 1 for a in self.coeffs)
-
-    @property
-    def is_finite(self) -> bool:
-        return len(self.coeffs) <= 1
 
     # ------------------------------------------------------------------
     # arithmetic

@@ -17,7 +17,7 @@ from ordlen.endo_fixture import check_endo_fixture
 from ordlen.finite_oracle import FiniteModule, longest_chain
 from ordlen.modules import (
     MonomialModule,
-    ass_poset_length,
+    ass,
     fcyc,
     is_binary_module,
     length,
@@ -86,7 +86,7 @@ def test_c03_oracle_agreement_at_finite_length():
         for J in ideals:
             M = FiniteModule.from_quotient(J)
             mu = length(MonomialModule.quotient_ring(J))
-            assert mu.is_finite
+            assert len(mu.coeffs) <= 1
             assert longest_chain(M) == M.dim == mu.coeff(0)
 
 
@@ -140,8 +140,10 @@ def test_c11_endomorphism_fixture_suite():
     with Budget(30.0):
         assert_all_pass(check_endo_fixture(order=8, seed=0))
     # nilpotents square to zero: the exponent matches the longest chain
-    # of associated primes of the underlying module
-    assert ass_poset_length(MonomialModule.quotient_ring(I2("x^2, x*y"))) == 2
+    # of associated primes of the underlying module, (x) ⊂ (x, y)
+    primes = ass(MonomialModule.quotient_ring(I2("x^2, x*y")))
+    assert primes == (MonomialPrime.of(2, (0,)), MonomialPrime.of(2, (0, 1)))
+    assert primes[1].contains(primes[0])
 
 
 def test_c12_ordinal_algebra_exhaustive():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ordlen.cycles import Cycle, MonomialPrime, binary_cycle, binord
+from ordlen.cycles import Cycle, MonomialPrime, binord
 from ordlen.endo_fixture import EndoTriple
 from ordlen.finite_oracle import FiniteModule
 from ordlen.modules import MonomialModule
@@ -45,8 +45,7 @@ def test_prime_containment_is_ideal_containment():
 
 def test_cycle_merges_and_sorts_terms():
     c = Cycle(2, ((P(1), 1), (P(0), 2), (P(1), 3)))
-    assert c.coeff(P(1)) == 4 and c.coeff(P(0)) == 2
-    assert c.coeff(P(0, 1)) == 0
+    assert dict(c.terms) == {P(0): 2, P(1): 4}
     assert [p.key for p, _ in c.terms] == [(0,), (1,)]
 
 
@@ -63,26 +62,30 @@ def test_cycle_rejects_negative_and_foreign_terms():
 
 
 def test_cycle_addition_and_ambient_check():
+    """Cycles add by concatenating their terms; the ambients must agree."""
     a = Cycle.of(2, {P(0): 1})
     b = Cycle.of(2, {P(0): 1, P(0, 1): 2})
-    assert (a + b).coeff(P(0)) == 2
+    assert Cycle(2, a.terms + b.terms) == Cycle.of(2, {P(0): 2, P(0, 1): 2})
     with pytest.raises(ValueError):
-        a + Cycle.zero(3)
+        Cycle(3, a.terms)
 
 
 def test_cycle_weaker_and_binary():
     a = Cycle.of(2, {P(0): 1})
     b = Cycle.of(2, {P(0): 2, P(1): 1})
-    assert a.weaker(b) and not b.weaker(a)
+    assert binord(a).weaker(binord(b)) and not binord(b).weaker(binord(a))
     assert a.is_binary and not b.is_binary
-    assert b.valence == 3
+    assert binord(b).valence == 3
     assert a.support == (P(0),)
 
 
 def test_cycle_text_and_json_round_trip():
     c = Cycle.of(2, {P(0): 1, P(0, 1): 1})
     assert c.to_text(("x", "y")) == "1*[x] + 1*[x,y]"
-    assert Cycle.from_json(c.to_json()) == c
+    assert c.to_json() == {
+        "n": 2,
+        "terms": [{"prime": [0], "coeff": 1}, {"prime": [0, 1], "coeff": 1}],
+    }
     assert Cycle.zero(2).to_text(("x", "y")) == "0"
 
 
@@ -92,11 +95,6 @@ def test_binord_known_values():
     assert binord(Cycle.zero(2)) == Ordinal.zero()
     assert binord(Cycle.of(2, {P(n=2): 1})) == Ordinal.parse("w^2")
     assert binord(Cycle.of(2, {P(0): 2})) == Ordinal.parse("2w")
-
-
-def test_binary_cycle_builder():
-    c = binary_cycle(2, [P(0), P(0, 1)])
-    assert c.is_binary and binord(c) == Ordinal.parse("w + 1")
 
 
 subsets = st.lists(st.integers(0, 2), unique=True).map(tuple)
@@ -110,7 +108,7 @@ def test_binord_is_additive_on_cycles(d):
     for p, v in terms.items():
         total = total.shuffle_sum(Ordinal.omega_power(p.dim) * v)
     assert binord(c) == total
-    assert c.valence == binord(c).valence
+    assert sum(dict(c.terms).values()) == binord(c).valence
 
 
 def test_value_types_pickle_and_copy():

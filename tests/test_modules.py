@@ -7,14 +7,14 @@ import pytest
 
 import brute
 from test_acceptance import Budget
-from ordlen.corpus import all_ideals, monomials_of_degree_at_most, random_contained_pairs
+from ordlen.checks import CONVERSE_PROBES
+from ordlen.corpus import all_ideals, monomials_of_degree_at_most, random_contained_pairs, sandwich_pool
 from ordlen.cycles import Cycle, MonomialPrime
 from ordlen import modules
 from ordlen.errors import GuardError
 from ordlen.modules import (
     MonomialModule,
     ass,
-    ass_poset_length,
     ass_witnesses,
     annihilator,
     dim_filtration,
@@ -22,16 +22,12 @@ from ordlen.modules import (
     find_submodule_with_length,
     is_binary_module,
     is_open_submodule,
-    is_univalent,
     length,
     localize,
-    module_dim,
     mult_endo,
     open_via_witnesses,
     prim_kernel,
     profile,
-    split_binary_submodule,
-    univalent_data,
 )
 from ordlen.monomial import (
     MonomialIdeal,
@@ -40,6 +36,7 @@ from ordlen.monomial import (
     contains,
     h0_count,
     ideal_of_prime,
+    ideal_sum,
     localize_pair,
     member,
     parse_ideal,
@@ -127,6 +124,15 @@ def test_profile_worked_example():
     assert q.fcyc == Cycle.of(2, {P(0): 2})
 
 
+def test_binary_length_and_binary_cycle_differ_on_xy():
+    """profile().is_binary reads the length, is_binary_module the cycle."""
+    M = quotient("x*y")
+    assert length(M) == Ordinal.parse("2w")
+    assert fcyc(M) == Cycle.of(2, {P(0): 1, P(1): 1})
+    assert profile(M).is_binary is False
+    assert is_binary_module(M) is True
+
+
 def test_localize_drops_outside_variables():
     M = quotient("x^2, x*y")
     at_x = localize(M, P(0))
@@ -158,7 +164,7 @@ def test_fcyc_counts_standard_pairs_by_free_set():
                     1 for head, f in pairs
                     if f == free and brute.saturation_member(head, ig, by, n)
                 )
-                assert cycle.coeff(prime) == expected, (J, I, free)
+                assert dict(cycle.terms).get(prime, 0) == expected, (J, I, free)
 
 
 def test_fcyc_matches_the_full_prime_loop():
@@ -328,20 +334,28 @@ def test_ass_witnesses_match_the_box_search():
     assert seen >= 1000 and zero_denominator and proper_numerator
 
 
+def split_binary(M):
+    """The submodule generated over J by one witness of each associated
+    prime, and the witnesses."""
+    witnesses = ass_witnesses(M)
+    S = M.submodule(ideal_sum(M.J, MonomialIdeal(M.n, tuple(witnesses.values()))))
+    return S, witnesses
+
+
 def test_split_binary_submodule_examples():
     M = quotient("x^2, x*y")
-    S, witnesses = split_binary_submodule(M)
+    S, witnesses = split_binary(M)
     assert S.I == I2("x, y")
-    assert set(witnesses) == {parse_monomial("x", NAMES), parse_monomial("y", NAMES)}
+    assert set(witnesses.values()) == {parse_monomial("x", NAMES), parse_monomial("y", NAMES)}
     assert ass(S) == ass(M)
 
     whole = quotient("x")
-    S, witnesses = split_binary_submodule(whole)
-    assert witnesses == (Monomial.one(2),)
+    S, witnesses = split_binary(whole)
+    assert list(witnesses.values()) == [Monomial.one(2)]
     assert S.I.is_unit
 
     double = quotient("x^2")
-    S, witnesses = split_binary_submodule(double)
+    S, witnesses = split_binary(double)
     assert len(witnesses) == 1
     assert ass(S) == ass(double)
     assert length(S).valence == 1
@@ -353,7 +367,7 @@ def test_split_preserves_ass_across_corpus():
         M = MonomialModule.quotient_ring(J)
         if M.is_zero:
             continue
-        S, _ = split_binary_submodule(M)
+        S, _ = split_binary(M)
         assert ass(S) == ass(M)
         assert is_binary_module(S)
 
@@ -362,20 +376,13 @@ def test_split_preserves_ass_across_corpus():
 
 
 def test_univalent_examples():
-    assert is_univalent(quotient("x"))
-    data = univalent_data(quotient("x"))
-    assert data.prime == P(0) and data.annihilator_is_the_prime
-
-    N = sub("y, x^2", "x^2, x*y")
-    assert is_univalent(N)
-    data = univalent_data(N)
-    assert data.prime == P(0)
-    assert data.annihilator == I2("x")
-    assert data.annihilator_is_the_prime
-
-    assert not is_univalent(quotient("x^2, x*y"))
-    with pytest.raises(ValueError):
-        univalent_data(quotient("x^2, x*y"))
+    """A univalent module, one of length valence one, is annihilated by
+    exactly its associated prime."""
+    for M in (quotient("x"), sub("y, x^2", "x^2, x*y")):
+        assert length(M).valence == 1
+        assert ass(M) == (P(0),)
+        assert annihilator(M) == ideal_of_prime(ass(M)[0]) == I2("x")
+    assert length(quotient("x^2, x*y")).valence == 2
 
 
 def test_annihilator():
@@ -445,7 +452,7 @@ def test_reductive_power_matches_the_iterated_colons():
     with Budget(3.0):
         for n, count in ((1, 40), (2, 60), (3, 60)):
             pool = monomials_of_degree_at_most(n, 2)
-            for J, I in random_contained_pairs(n, count, seed=70 + n):
+            for J, I in random_contained_pairs(n, count, seed=70 + n, d=3):
                 for M in (MonomialModule(n, I, J), MonomialModule.quotient_ring(J)):
                     ig, jg = [g.exps for g in M.I.gens], [g.exps for g in M.J.gens]
                     for r in pool:
@@ -475,14 +482,6 @@ def test_mult_endo_rank_nullity_bounds_hold():
             assert a.kappa.weaker(a.mu) and a.theta.weaker(a.mu)
 
 
-def test_ass_poset_length():
-    assert ass_poset_length(quotient("x^2, x*y")) == 2
-    assert ass_poset_length(quotient("x")) == 1
-    assert ass_poset_length(quotient("x^2")) == 1
-    with pytest.raises(ValueError):
-        ass_poset_length(sub("x", "x"))
-
-
 # -- submodule search ------------------------------------------------------------
 
 
@@ -494,6 +493,21 @@ def test_find_submodule_with_length():
     assert find_submodule_with_length(M, ZERO) == M.J
     # w^2 is not weaker than w + 1, so nothing can realize it
     assert find_submodule_with_length(M, Ordinal.omega_power(2)) is None
+
+
+def test_submodule_search_guards_its_candidates():
+    # R/(x1*...*x6): all 210 monomials of degree <= 4 lie outside J
+    names = tuple(f"x{i + 1}" for i in range(6))
+    M = MonomialModule.quotient_ring(parse_ideal("*".join(names), names))
+    with Budget(1.0), pytest.raises(
+        GuardError, match="22156 candidate numerators .* bound of 5000 .MAX_SEARCH_CANDIDATES"
+    ):
+        find_submodule_with_length(M, Ordinal.omega_power(6))
+    # the check suite's probes stay far below the bound
+    for text in CONVERSE_PROBES:
+        probe = quotient(text)
+        p = len(sandwich_pool(probe.J, probe.I, modules.SEARCH_DEGREE))
+        assert 1 + p + p * (p - 1) // 2 <= 121 < modules.MAX_SEARCH_CANDIDATES
 
 
 # -- guards ------------------------------------------------------------------------
@@ -552,7 +566,3 @@ def test_large_exponent_lengths_stay_fast():
         xyz = parse_ideal("x^50, y^50, z^50, x*y*z", ("x", "y", "z"))
         assert length(MonomialModule.quotient_ring(xyz)) == Ordinal.finite(7351)
 
-
-def test_module_dim():
-    assert module_dim(quotient("x^2, x*y")) == 1
-    assert module_dim(MonomialModule.full_ring(2)) == 2

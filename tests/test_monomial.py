@@ -19,7 +19,6 @@ from ordlen.monomial import (
     default_names,
     format_ideal,
     h0_count,
-    ideal_from_json,
     ideal_of_prime,
     ideal_sum,
     ideal_to_json,
@@ -31,7 +30,6 @@ from ordlen.monomial import (
     parse_monomial,
     saturate,
     saturate_mono,
-    variable_ideal,
 )
 from ordlen.errors import GuardError, ParseError
 
@@ -195,9 +193,9 @@ def test_saturate_by_zero_ideal_raises():
 
 
 def test_saturate_by_maximal_ideal_keeps_nontorsion():
-    assert saturate(I2("x^2, x*y"), variable_ideal(2)) == I2("x")
-    assert saturate(I2("x^2, y^2"), variable_ideal(2)).is_unit
-    assert saturate(MonomialIdeal.zero(2), variable_ideal(2)).is_zero
+    assert saturate(I2("x^2, x*y"), I2("x, y")) == I2("x")
+    assert saturate(I2("x^2, y^2"), I2("x, y")).is_unit
+    assert saturate(MonomialIdeal.zero(2), I2("x, y")).is_zero
 
 
 def test_intersect_and_sum_match_brute():
@@ -225,7 +223,7 @@ def test_multiply():
 def test_prime_ideals():
     assert ideal_of_prime(MonomialPrime.of(2, (0,))) == I2("x")
     assert ideal_of_prime(MonomialPrime.of(2, ())).is_zero
-    assert variable_ideal(2) == I2("x, y")
+    assert ideal_of_prime(MonomialPrime.of(2, (0, 1))) == I2("x, y")
 
 
 # -- standard pairs ------------------------------------------------------
@@ -292,7 +290,7 @@ def test_localize_pair_matches_the_checked_construction():
     with pytest.raises(ParseError):
         I2("x^-1, y")
     with pytest.raises(ValueError):
-        ideal_from_json({"vars": ["x", "y"], "gens": [[-1, 0]]})
+        MonomialIdeal.of(2, [(-1, 0)])
 
 
 def test_h0_count_known_values():
@@ -373,7 +371,7 @@ def test_h0_count_largest_cap_not_last():
 def test_h0_count_guards_its_scan():
     # caps (3000, 2000, 2000): the scan along x would visit 2000 * 2000 lines
     J = MonomialIdeal.of(3, [(3000, 0, 0), (0, 2000, 0), (0, 0, 2000)])
-    with pytest.raises(GuardError, match="4000000 box lines"):
+    with pytest.raises(GuardError, match="4000000 box lines, over the bound of 1000000 .MAX_H0_LINES"):
         h0_count(MonomialIdeal.unit(3), J)
 
 
@@ -406,9 +404,7 @@ def test_format_and_json_round_trip():
     assert format_ideal(ideal, NAMES) == "x*y, x^2"  # canonical (degree, exps) order
     assert format_ideal(MonomialIdeal.zero(2), NAMES) == "0"
     assert format_ideal(MonomialIdeal.unit(2), NAMES) == "1"
-    data = ideal_to_json(ideal, NAMES)
-    back, names = ideal_from_json(data)
-    assert back == ideal and names == NAMES
+    assert ideal_to_json(ideal, NAMES) == {"vars": ["x", "y"], "gens": [[1, 1], [2, 0]]}
 
 
 # -- algebraic properties -------------------------------------------------

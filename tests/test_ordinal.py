@@ -26,9 +26,8 @@ def test_basic_invariants():
     a = Ordinal.parse("w^2 + 3w + 1")
     assert a.degree == 2 and a.order == 0 and a.valence == 5
     assert a.support == (0, 1, 2)
-    assert not a.is_binary and not a.is_finite
+    assert not a.is_binary
     assert OMEGA.is_binary and OMEGA.order == 1
-    assert Ordinal.finite(7).is_finite
 
 
 def test_zero_has_no_degree():
