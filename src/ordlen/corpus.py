@@ -16,14 +16,18 @@ from typing import Iterator
 from .monomial import Monomial, MonomialIdeal, contains, ideal_sum, member, multiply
 
 
-def monomials_of_degree_at_most(n: int, d: int) -> list[Monomial]:
+def monomials_of_degree(n: int, k: int) -> list[Monomial]:
+    """The monomials of degree k in n variables, by exponent tuple."""
     out = [
         Monomial(tuple(map(vs.count, range(n))))
-        for k in range(d + 1)
         for vs in itertools.combinations_with_replacement(range(n), k)
     ]
-    out.sort(key=lambda m: (m.degree, m.exps))
+    out.sort(key=lambda m: m.exps)
     return out
+
+
+def monomials_of_degree_at_most(n: int, d: int) -> list[Monomial]:
+    return [m for k in range(d + 1) for m in monomials_of_degree(n, k)]
 
 
 def all_ideals(n: int, d: int) -> list[MonomialIdeal]:
@@ -45,9 +49,18 @@ def contained_pairs(ideals: list[MonomialIdeal]) -> list[tuple[MonomialIdeal, Mo
     return [(j, i) for j in ideals for i in ideals if contains(i, j)]
 
 
+def sandwich_monomials(J: MonomialIdeal, I: MonomialIdeal, d: int) -> Iterator[Monomial]:
+    """The monomials of degree ≤ d in I and outside J, listed one degree
+    at a time, so a caller that stops early never lists the higher ones."""
+    for k in range(d + 1):
+        for m in monomials_of_degree(J.n, k):
+            if member(m, I) and not member(m, J):
+                yield m
+
+
 def sandwich_pool(J: MonomialIdeal, I: MonomialIdeal, d: int) -> list[Monomial]:
     """The monomials of degree ≤ d in I and outside J."""
-    return [m for m in monomials_of_degree_at_most(J.n, d) if member(m, I) and not member(m, J)]
+    return list(sandwich_monomials(J, I, d))
 
 
 def sandwich_numerators(J: MonomialIdeal, I: MonomialIdeal, d: int) -> Iterator[MonomialIdeal]:

@@ -19,7 +19,7 @@ import warnings
 from functools import lru_cache, reduce
 from typing import NamedTuple
 
-from .corpus import sandwich_numerators, sandwich_pool
+from .corpus import sandwich_monomials, sandwich_numerators
 from .cycles import Cycle, MonomialPrime, binord
 from .errors import GuardError
 from .frozen import Frozen
@@ -385,15 +385,16 @@ def find_submodule_with_length(module: MonomialModule, target: Ordinal) -> Monom
 
     With p such monomials outside J there are at most 1 + p + p(p-1)/2
     candidates; a search over more than ``MAX_SEARCH_CANDIDATES`` raises
-    GuardError before any candidate is tried.
+    GuardError before any candidate is tried.  The monomials are counted
+    as they are listed, and the count stops at the first p over the bound.
     """
-    p = len(sandwich_pool(module.J, module.I, SEARCH_DEGREE))
-    candidates = 1 + p + p * (p - 1) // 2
-    if candidates > MAX_SEARCH_CANDIDATES:
-        raise GuardError(
-            f"the submodule search over {candidates} candidate numerators exceeds "
-            f"the bound of {MAX_SEARCH_CANDIDATES} (MAX_SEARCH_CANDIDATES)"
-        )
+    for p, _ in enumerate(sandwich_monomials(module.J, module.I, SEARCH_DEGREE), 1):
+        candidates = 1 + p + p * (p - 1) // 2
+        if candidates > MAX_SEARCH_CANDIDATES:
+            raise GuardError(
+                f"the submodule search over at least {candidates} candidate numerators "
+                f"exceeds the bound of {MAX_SEARCH_CANDIDATES} (MAX_SEARCH_CANDIDATES)"
+            )
     for numerator in sandwich_numerators(module.J, module.I, SEARCH_DEGREE):
         if length(module.submodule(numerator)) == target:
             return numerator

@@ -1,5 +1,6 @@
 """Endomorphism ring of K[x, y]/(x^2, x*y): triples, laws, kernels."""
 
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -10,7 +11,6 @@ import ordlen.endo_fixture
 from ordlen.endo_fixture import (
     EndoTriple,
     _grid,
-    _product,
     _random_triple,
     check_endo_fixture,
     commutator,
@@ -196,18 +196,15 @@ def test_check_endo_fixture_rejects_tiny_order():
         check_endo_fixture(order=3)
 
 
-def test_check_endo_fixture_is_repeatable_and_leaves_no_memo():
+def test_check_endo_fixture_is_repeatable():
     first = check_endo_fixture(4, seed=1)
-    assert _product.cache_info().currsize == 0
     assert check_endo_fixture(4, seed=1) == first
-    assert _product.cache_info().currsize == 0
 
 
-def test_check_endo_fixture_survives_rebound_arithmetic(monkeypatch):
-    """A profiler may rebind the arithmetic in every ordlen namespace that
-    holds it; the fixture must still pass with the same records."""
-    expected = check_endo_fixture(4)
-    calls = dict.fromkeys(("poly_mul", "endo_compose", "commutator"), 0)
+def count_calls(monkeypatch, *names):
+    """Rebind each named function, as a profiler would, in every ordlen
+    namespace that holds it, to a wrapper that counts its calls."""
+    calls = dict.fromkeys(names, 0)
     for name in calls:
         original = getattr(ordlen.endo_fixture, name)
 
@@ -220,5 +217,65 @@ def test_check_endo_fixture_survives_rebound_arithmetic(monkeypatch):
                 for attr, value in list(vars(mod).items()):
                     if value is original:
                         monkeypatch.setattr(mod, attr, wrapper)
+    return calls
+
+
+def test_check_endo_fixture_survives_rebound_arithmetic(monkeypatch):
+    """A profiler may rebind the arithmetic in every ordlen namespace that
+    holds it; the fixture must still pass with the same records."""
+    expected = check_endo_fixture(4)
+    calls = count_calls(monkeypatch, "poly_mul", "endo_compose", "commutator")
     assert check_endo_fixture(4) == expected
     assert all(calls.values()), calls
+
+
+@pytest.mark.parametrize("order, commutators", [(4, 1238), (8, 1302)])
+def test_commutator_work_is_pinned(monkeypatch, order, commutators):
+    """(order + 2)² basis pairs, six commutators for each of the 200
+    bilinearity samples and two for the noncommuting witness; the sweep
+    over the 195,000 grid pairs made 195,002."""
+    calls = count_calls(monkeypatch, "commutator")
+    check_endo_fixture(order)
+    assert calls == {"commutator": commutators}
+
+
+def grid_commutators_are_nil(order):
+    """The sweep over every pair of grid triples that the basis law
+    replaced, kept as its oracle."""
+    return all(
+        is_nilpotent(commutator(f, g)) for f, g in itertools.combinations(_grid(order), 2)
+    )
+
+
+def test_grid_commutators_are_nil():
+    assert grid_commutators_are_nil(4)
+
+
+def test_commutator_law_reaches_beyond_the_grid(monkeypatch):
+    """A product that fails to commute only through a y² coefficient
+    passes the grid sweep, whose triples stop at degree 1, and fails
+    the basis law."""
+
+    def skewed(p, q, order):
+        out = list(poly_mul(p, q, order))
+        out[-1] += p[2] * q[0]
+        return tuple(out)
+
+    monkeypatch.setattr(ordlen.endo_fixture, "poly_mul", skewed)
+    assert grid_commutators_are_nil(4)
+    records = {r.name: r for r in check_endo_fixture(4)}
+    assert not records["endo-commutators-nil"].passed
+
+
+def test_bilinearity_law_fails_a_nonadditive_commutator(monkeypatch):
+    """A commutator that stays nilpotent but is not additive in its first
+    argument passes the basis law; only the bilinearity law sees it."""
+
+    def nonadditive(f, g):
+        c = commutator(f, g)
+        return c._replace(v=c.v + f.v * f.v)
+
+    monkeypatch.setattr(ordlen.endo_fixture, "commutator", nonadditive)
+    records = {r.name: r for r in check_endo_fixture(4)}
+    assert records["endo-commutators-nil"].passed
+    assert not records["endo-commutator-bilinear"].passed

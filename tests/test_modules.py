@@ -500,7 +500,8 @@ def test_submodule_search_guards_its_candidates():
     names = tuple(f"x{i + 1}" for i in range(6))
     M = MonomialModule.quotient_ring(parse_ideal("*".join(names), names))
     with Budget(1.0), pytest.raises(
-        GuardError, match="22156 candidate numerators .* bound of 5000 .MAX_SEARCH_CANDIDATES"
+        GuardError,
+        match="at least 5051 candidate numerators .* bound of 5000 .MAX_SEARCH_CANDIDATES",
     ):
         find_submodule_with_length(M, Ordinal.omega_power(6))
     # the check suite's probes stay far below the bound
@@ -508,6 +509,15 @@ def test_submodule_search_guards_its_candidates():
         probe = quotient(text)
         p = len(sandwich_pool(probe.J, probe.I, modules.SEARCH_DEGREE))
         assert 1 + p + p * (p - 1) // 2 <= 121 < modules.MAX_SEARCH_CANDIDATES
+
+
+def test_submodule_search_refuses_before_listing_its_pool():
+    # R/(x1) in 40 variables has 123,410 monomials of degree <= 4 outside
+    # J; the count stops at the 100th, among those of degree 2
+    names = tuple(f"x{i + 1}" for i in range(40))
+    M = MonomialModule.quotient_ring(parse_ideal("x1", names))
+    with Budget(0.2), pytest.raises(GuardError, match="at least 5051 candidate numerators"):
+        find_submodule_with_length(M, Ordinal.omega_power(39))
 
 
 # -- guards ------------------------------------------------------------------------
