@@ -126,7 +126,6 @@ def _pair_laws(a: Ordinal, b: Ordinal) -> bool:
     diff = b.shuffle_difference(a)
     return (
         (not weaker or a <= b)
-        and weaker == (diff is not None)
         and (diff is None or a.shuffle_sum(diff) == b)
         and (a + b) <= a.shuffle_sum(b)
     )
@@ -454,14 +453,12 @@ def _small_endos():
 def _endo_theorems(c) -> bool:
     """Reductive powers, rank-nullity there, and essential kernels nilpotent."""
     fm, table = c.fm, c.table
-    k = 1
-    while kernel_of_map(endo_power(fm, table, k)) != kernel_of_map(endo_power(fm, table, k + 1)):
-        k += 1
-    stable = endo_power(fm, table, k)
+    # kernels and images of the powers stop changing by the dimension (Fitting)
+    stable = endo_power(fm, table, fm.dim)
     ker, img = kernel_of_map(stable), echelon(stable)
     kernel1 = kernel_of_map(table)
     essential = all(not s or intersect_spans(kernel1, s) for s in c.subs)
-    nilpotent = all(v == 0 for v in endo_power(fm, table, fm.dim))
+    nilpotent = not any(stable)
     return (
         not intersect_spans(ker, img)
         and len(ker) + len(img) == fm.dim

@@ -31,17 +31,22 @@ def monomials_of_degree_at_most(n: int, d: int) -> list[Monomial]:
 
 
 def all_ideals(n: int, d: int) -> list[MonomialIdeal]:
-    """Every monomial ideal generated in degree ≤ d, zero and unit included."""
-    pool = monomials_of_degree_at_most(n, d)
-    ideals = []
-    for size in range(len(pool) + 1):
-        for combo in itertools.combinations(pool, size):
-            if any(
-                a.divides(b) for a, b in itertools.permutations(combo, 2)
-            ):
-                continue
-            ideals.append(MonomialIdeal(n, combo))
-    return ideals
+    """Every monomial ideal generated in degree ≤ d, zero and unit included,
+    by generator count and then by position in the pool of monomials.
+
+    An antichain grows only by later pool monomials that no chosen one
+    divides; the pool is sorted by degree, so none divides an earlier one.
+    """
+    antichains = []
+
+    def grow(chosen: tuple[Monomial, ...], candidates: list[Monomial]) -> None:
+        antichains.append(chosen)
+        for i, m in enumerate(candidates):
+            grow(chosen + (m,), [c for c in candidates[i + 1:] if not m.divides(c)])
+
+    grow((), monomials_of_degree_at_most(n, d))
+    antichains.sort(key=len)
+    return [MonomialIdeal(n, gens) for gens in antichains]
 
 
 def contained_pairs(ideals: list[MonomialIdeal]) -> list[tuple[MonomialIdeal, MonomialIdeal]]:
@@ -58,15 +63,10 @@ def sandwich_monomials(J: MonomialIdeal, I: MonomialIdeal, d: int) -> Iterator[M
                 yield m
 
 
-def sandwich_pool(J: MonomialIdeal, I: MonomialIdeal, d: int) -> list[Monomial]:
-    """The monomials of degree ≤ d in I and outside J."""
-    return list(sandwich_monomials(J, I, d))
-
-
 def sandwich_numerators(J: MonomialIdeal, I: MonomialIdeal, d: int) -> Iterator[MonomialIdeal]:
     """Numerators I′ with J ⊆ I′ ⊆ I generated over J by at most two
-    monomials of ``sandwich_pool``, each once, J first."""
-    pool = sandwich_pool(J, I, d)
+    monomials of ``sandwich_monomials``, each once, J first."""
+    pool = list(sandwich_monomials(J, I, d))
     seen = set()
     for size in range(3):
         for combo in itertools.combinations(pool, size):
@@ -79,49 +79,16 @@ def sandwich_numerators(J: MonomialIdeal, I: MonomialIdeal, d: int) -> Iterator[
 def artinian_ideals_containing_power(n: int, k: int) -> list[MonomialIdeal]:
     """All monomial ideals containing the k-th power of the maximal ideal.
 
-    Such an ideal is determined by the order ideal of standard monomials
-    inside the degree-< k simplex, so enumerate down-closed subsets.
+    Such an ideal is fixed by its monomials of degree below k, so it is
+    the k-th power plus one ideal generated in degree < k.
     """
-    box = [
-        e
-        for e in itertools.product(*(range(k) for _ in range(n)))
-        if sum(e) < k
-    ]
-    below = {
-        e: [f for f in box if f != e and all(fi <= ei for fi, ei in zip(f, e))]
-        for e in box
-    }
     power = max_ideal_power(n, k)
-    out = []
-    for keep in _down_closed_subsets(box, below):
-        gens = [Monomial(e) for e in box if e not in keep]
-        out.append(ideal_sum(power, MonomialIdeal(n, tuple(gens))))
-    return out
+    return [ideal_sum(power, ideal) for ideal in all_ideals(n, k - 1)]
 
 
 def max_ideal_power(n: int, k: int) -> MonomialIdeal:
     """The k-th power of the maximal ideal (x_1, …, x_n)."""
-    gens = [Monomial(e) for e in itertools.product(range(k + 1), repeat=n) if sum(e) == k]
-    return MonomialIdeal(n, tuple(gens))
-
-
-def _down_closed_subsets(box, below):
-    """All subsets closed under division, via depth-first inclusion in a
-    fixed order: an element may be kept only if all its divisors are kept."""
-    order = sorted(box, key=lambda e: (sum(e), e))
-    results = []
-
-    def extend(i: int, keep: frozenset):
-        if i == len(order):
-            results.append(keep)
-            return
-        e = order[i]
-        extend(i + 1, keep)
-        if all(f in keep for f in below[e]):
-            extend(i + 1, keep | {e})
-
-    extend(0, frozenset())
-    return results
+    return MonomialIdeal(n, tuple(monomials_of_degree(n, k)))
 
 
 def random_ideal(rng: random.Random, n: int, d: int) -> MonomialIdeal:

@@ -8,7 +8,7 @@ the ordinal whose w^d coefficient is the total mass in dimension d.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .frozen import Frozen
 from .ordinal import Ordinal
@@ -105,10 +105,6 @@ class Cycle(Frozen):
     @classmethod
     def zero(cls, n: int) -> "Cycle":
         return cls(n, ())
-
-    @classmethod
-    def of(cls, n: int, terms: Mapping[MonomialPrime, int]) -> "Cycle":
-        return cls(n, tuple(terms.items()))
 
     @property
     def is_zero(self) -> bool:

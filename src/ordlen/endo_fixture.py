@@ -85,10 +85,6 @@ class EndoTriple(NamedTuple):
         return len(self.p)
 
     @classmethod
-    def zero(cls, order: int) -> "EndoTriple":
-        return cls(0, 0, (0,) * order)
-
-    @classmethod
     def identity(cls, order: int) -> "EndoTriple":
         return cls(1, 0, (1,) + (0,) * (order - 1))
 

@@ -164,13 +164,6 @@ class FiniteModule(NamedTuple):
     def apply_var(self, j: int, v: int) -> int:
         return _apply(self.actions[j], v)
 
-    def is_submodule(self, basis: Sequence[int]) -> bool:
-        return all(
-            in_span(basis, self.apply_var(j, b))
-            for j in range(self.nvars)
-            for b in basis
-        )
-
 
 def closure(module: FiniteModule, vectors: Iterable[int]) -> tuple[int, ...]:
     """Echelon basis of the smallest action-stable subspace containing

@@ -83,10 +83,6 @@ class MonomialModule(Frozen):
         """The cyclic module R/J."""
         return cls(denominator.n, MonomialIdeal.unit(denominator.n), denominator)
 
-    @classmethod
-    def full_ring(cls, n: int) -> "MonomialModule":
-        return cls(n, MonomialIdeal.unit(n), MonomialIdeal.zero(n))
-
     @property
     def is_zero(self) -> bool:
         return self.I == self.J

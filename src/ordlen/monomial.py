@@ -167,11 +167,6 @@ class MonomialIdeal(Frozen):
     def unit(cls, n: int) -> "MonomialIdeal":
         return cls(n, (Monomial.one(n),))
 
-    @classmethod
-    def of(cls, n: int, gens: Iterable[Sequence[int] | Monomial]) -> "MonomialIdeal":
-        ms = tuple(g if isinstance(g, Monomial) else Monomial(tuple(g)) for g in gens)
-        return cls(n, ms)
-
     @property
     def is_zero(self) -> bool:
         return not self.gens
@@ -337,9 +332,6 @@ def h0_count(numerator: MonomialIdeal, denominator: MonomialIdeal) -> int:
 # ----------------------------------------------------------------------
 # text and JSON forms
 # ----------------------------------------------------------------------
-
-_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-
 
 def default_names(n: int) -> tuple[str, ...]:
     if n <= 3:

@@ -199,3 +199,48 @@ def standard_basis(gens: list[Exp], n: int) -> tuple[list[Exp], list[list[int | 
         for j in range(n)
     ]
     return cells, actions
+
+
+def all_ideals(n: int, d: int) -> list[tuple[Exp, ...]]:
+    """The minimal generators of every monomial ideal generated in degree
+    ≤ d: every subset of the monomials of degree ≤ d, sorted by degree
+    and then exponents, in which no member divides another, by size and
+    then in combination order."""
+    pool = sorted((e for e in box(n, d) if sum(e) <= d), key=lambda e: (sum(e), e))
+    return [
+        combo
+        for size in range(len(pool) + 1)
+        for combo in itertools.combinations(pool, size)
+        if not any(divides(a, b) for a, b in itertools.permutations(combo, 2))
+    ]
+
+
+def artinian_ideals(n: int, k: int) -> set[tuple[Exp, ...]]:
+    """The minimal generators of every monomial ideal containing all
+    monomials of degree k: each set of standard monomials is a subset of
+    the degree-< k simplex closed under division."""
+    simplex = [e for e in box(n, k) if sum(e) < k]
+    power = [e for e in box(n, k) if sum(e) == k]
+    out = set()
+    for size in range(len(simplex) + 1):
+        for keep in itertools.combinations(simplex, size):
+            if all(f in keep for e in keep for f in simplex if divides(f, e)):
+                out.add(tuple(minimal([e for e in simplex if e not in keep] + power)))
+    return out
+
+
+def is_submodule(actions: tuple[tuple[int, ...], ...], basis: tuple[int, ...]) -> bool:
+    """Whether the F₂ span of the basis bitmasks is stable under every
+    variable, whose table sends basis vector i to the bitmask at index i."""
+    span = {0}
+    for b in basis:
+        span |= {s ^ b for s in span}
+
+    def apply(table, v):
+        out = 0
+        for i, image in enumerate(table):
+            if v >> i & 1:
+                out ^= image
+        return out
+
+    return all(apply(table, b) in span for table in actions for b in basis)

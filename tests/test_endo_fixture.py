@@ -70,11 +70,11 @@ def test_poly_mul_matches_naive_convolution():
 
 
 def test_triple_validation_and_constants():
-    assert EndoTriple.zero(4).is_zero()
+    assert T(0, 0).is_zero()
     assert EndoTriple.identity(4) == EndoTriple(1, 0, (1, 0, 0, 0))
     assert EndoTriple.identity(4).order == 4
     assert "u=1" in str(EndoTriple.identity(4))
-    assert "0" in str(EndoTriple.zero(2))
+    assert "0" in str(EndoTriple(0, 0, (0, 0)))
 
 
 def test_compose_examples():
@@ -87,14 +87,14 @@ def test_compose_examples():
     identity = EndoTriple.identity(4)
     assert endo_compose(identity, f) == f
     assert endo_compose(f, identity) == f
-    assert endo_compose(EndoTriple.zero(4), f).is_zero()
+    assert endo_compose(T(0, 0), f).is_zero()
 
 
 def test_order_mismatch_rejected():
     with pytest.raises(ValueError):
         endo_compose(EndoTriple.identity(4), EndoTriple.identity(8))
     with pytest.raises(ValueError):
-        endo_add(EndoTriple.zero(4), EndoTriple.zero(8))
+        endo_add(T(0, 0), EndoTriple(0, 0, (0,) * 8))
 
 
 def test_ring_laws_small():
