@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, fields
 from functools import cached_property
 from types import SimpleNamespace as Case
 
@@ -32,9 +31,10 @@ from .finite_oracle import (
     endo_power,
     enumerate_endos,
     enumerate_submodules,
-    intersect_spans,
+    in_span,
     kernel_of_map,
     longest_chain,
+    socle,
 )
 from .modules import (
     MonomialModule,
@@ -62,21 +62,23 @@ from .monomial import (
 from .ordinal import Ordinal
 from .reporting import CheckResult, sweep
 
-DEFAULT_SAMPLE = 500
 # the coefficient bound of the ordinal pool
 MAX_COEFF = 3
+# the options of ``ordlen check`` and their defaults
+OPTIONS = {"max_vars": 3, "max_deg": 3, "seed": 0, "sample": 500, "truncation": DEFAULT_TRUNCATION}
 
 
-@dataclass
 class Corpus:
     """The options of a run and the corpora they determine, each built
-    once per run and shared by the suites that sweep it."""
+    once per run and shared by the suites that sweep it.  Each option is
+    an attribute, defaulting as in ``OPTIONS``; an unknown one raises
+    ValueError."""
 
-    max_vars: int = 3
-    max_deg: int = 3
-    seed: int = 0
-    sample: int = DEFAULT_SAMPLE
-    truncation: int = DEFAULT_TRUNCATION
+    def __init__(self, **options):
+        unknown = [k for k in options if k not in OPTIONS]
+        if unknown:
+            raise ValueError(f"unknown check option(s): {', '.join(unknown)}")
+        vars(self).update(OPTIONS, **options)
 
     @cached_property
     def ideals(self) -> list[MonomialIdeal]:
@@ -445,9 +447,8 @@ def _small_endos():
         fm = FiniteModule.from_quotient(parse_ideal(text, ("x", "y")))
         if fm.dim > 4:
             continue
-        subs = enumerate_submodules(fm)
         for table in enumerate_endos(fm):
-            yield Case(text=text, fm=fm, subs=subs, table=table)
+            yield Case(text=text, fm=fm, table=table)
 
 
 def _endo_theorems(c) -> bool:
@@ -456,12 +457,14 @@ def _endo_theorems(c) -> bool:
     # kernels and images of the powers stop changing by the dimension (Fitting)
     stable = endo_power(fm, table, fm.dim)
     ker, img = kernel_of_map(stable), echelon(stable)
+    # every nonzero submodule holds a nonzero socle vector, and each socle
+    # vector spans a submodule: a kernel is essential when it holds the socle
     kernel1 = kernel_of_map(table)
-    essential = all(not s or intersect_spans(kernel1, s) for s in c.subs)
+    essential = all(in_span(kernel1, v) for v in socle(fm))
     nilpotent = not any(stable)
+    # ker ∩ img = 0 exactly when their bases stay independent together
     return (
-        not intersect_spans(ker, img)
-        and len(ker) + len(img) == fm.dim
+        len(echelon(ker + img)) == len(ker) + len(img) == fm.dim
         and (nilpotent or not essential)
     )
 
@@ -520,22 +523,18 @@ SUITES = {
     "oracle-artinian": _oracle_artinian,
     "endo-fixture": _endo_fixture,
 }
-OPTIONS = tuple(f.name for f in fields(Corpus))
 
 
 def run_suites(names: list[str], **options) -> list[CheckResult]:
     """Run the named suites, or every suite for "all", over one corpus.
 
-    The options are those of ``ordlen check``: max_vars, max_deg, seed,
-    sample and truncation.  An unknown suite or option raises ValueError.
+    The options are those of ``ordlen check``, named in ``OPTIONS``.  An
+    unknown suite or option raises ValueError.
     """
     if "all" in names:
         names = list(SUITES)
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise ValueError(f"unknown check suite(s): {', '.join(unknown)}")
-    unknown = [k for k in options if k not in OPTIONS]
-    if unknown:
-        raise ValueError(f"unknown check option(s): {', '.join(unknown)}")
     corpus = Corpus(**options)
     return [r for name in names for r in SUITES[name](corpus)]

@@ -89,12 +89,6 @@ def kernel_of_map(images: Sequence[int]) -> tuple[int, ...]:
     return solve_homogeneous(equations, len(images))
 
 
-def intersect_spans(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """Intersection of two subspaces; fine at oracle scale."""
-    small, big = (a, b) if len(a) <= len(b) else (b, a)
-    return echelon(v for v in span_vectors(small) if v and in_span(big, v))
-
-
 def _apply(table: Sequence[int], v: int) -> int:
     out = 0
     i = 0
@@ -178,6 +172,11 @@ def closure(module: FiniteModule, vectors: Iterable[int]) -> tuple[int, ...]:
                 basis = list(echelon(basis + [w]))
                 queue.append(w)
     return echelon(basis)
+
+
+def socle(module: FiniteModule) -> tuple[int, ...]:
+    """Echelon basis of the vectors that every variable kills."""
+    return kernel_of_map([_concat(images, module.dim) for images in zip(*module.actions)])
 
 
 def enumerate_submodules(module: FiniteModule) -> list[tuple[int, ...]]:

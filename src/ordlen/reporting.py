@@ -87,7 +87,3 @@ def render_results(results: list[CheckResult], fmt: str = "text") -> str:
     bad = sum(not r.passed for r in results)
     lines.append(f"{len(results) - bad}/{len(results)} checks passed")
     return "\n".join(lines)
-
-
-def all_passed(results: list[CheckResult]) -> bool:
-    return all(r.passed for r in results)

@@ -229,18 +229,35 @@ def artinian_ideals(n: int, k: int) -> set[tuple[Exp, ...]]:
     return out
 
 
+def span(basis) -> set[int]:
+    """Every vector of the F₂ span of the bitmasks."""
+    out = {0}
+    for b in basis:
+        out |= {s ^ b for s in out}
+    return out
+
+
+def apply(table, v: int) -> int:
+    """The image of the vector v under the map sending basis vector i to table[i]."""
+    out = 0
+    for i, image in enumerate(table):
+        if v >> i & 1:
+            out ^= image
+    return out
+
+
 def is_submodule(actions: tuple[tuple[int, ...], ...], basis: tuple[int, ...]) -> bool:
     """Whether the F₂ span of the basis bitmasks is stable under every
     variable, whose table sends basis vector i to the bitmask at index i."""
-    span = {0}
-    for b in basis:
-        span |= {s ^ b for s in span}
+    vectors = span(basis)
+    return all(apply(table, b) in vectors for table in actions for b in basis)
 
-    def apply(table, v):
-        out = 0
-        for i, image in enumerate(table):
-            if v >> i & 1:
-                out ^= image
-        return out
 
-    return all(apply(table, b) in span for table in actions for b in basis)
+def kernel_is_essential(table, submodules) -> bool:
+    """Whether the kernel of the map meets every nonzero submodule, each
+    given by a basis: the sweep over all submodules."""
+    return all(any(apply(table, v) == 0 for v in span(b) if v) for b in submodules if b)
+
+
+def spans_meet_in_zero(a, b) -> bool:
+    return span(a) & span(b) == {0}

@@ -6,7 +6,7 @@ import pytest
 
 import ordlen.checks
 from ordlen.checks import SUITES, Corpus, run_suites
-from ordlen.reporting import CheckResult, all_passed, render_results, sweep
+from ordlen.reporting import CheckResult, render_results, sweep
 
 
 def test_every_suite_passes_at_small_bounds():
@@ -20,7 +20,7 @@ def test_every_suite_passes_at_small_bounds():
 
 def test_single_suite_selection():
     results = run_suites(["ordinal"], max_deg=2)
-    assert results and all_passed(results)
+    assert results and all(r.passed for r in results)
     assert all(r.name.startswith("ord") for r in results)
 
 
@@ -59,7 +59,7 @@ def test_converse_search_fails_when_a_length_is_not_found(monkeypatch):
 
 def test_strict_join_below_degree_two_is_decided_on_degree_two_pairs():
     results = run_suites(["latt"], max_vars=2, max_deg=1)
-    assert all_passed(results)
+    assert all(r.passed for r in results)
     (strict,) = [r for r in results if r.name == "latt-join-strict"]
     assert strict.evidence["witnesses"][0].startswith("J=(x*y), N=(y), N'=(x):")
 
@@ -109,7 +109,7 @@ def test_oracle_and_fixture_records_are_pinned(truncation):
         for name, cases in FIXTURE_COUNTS
     ]
     assert [(r.name, r.cases) for r in results] == ORACLE_COUNTS + fixture
-    assert all_passed(results)
+    assert all(r.passed for r in results)
 
 
 def test_sweep_counts_cases_and_keeps_witnesses():

@@ -25,7 +25,6 @@ from ordlen.endo_fixture import (
     poly_inverse,
     poly_mul,
 )
-from ordlen.reporting import all_passed
 
 
 def T(u, v, *p):
@@ -185,7 +184,7 @@ def test_commutators_land_in_the_nil_ideal():
 
 def test_check_endo_fixture_passes():
     results = check_endo_fixture(order=4)
-    assert all_passed(results)
+    assert all(r.passed for r in results)
     names = {r.name for r in results}
     assert "endo-noncommutative" in names
     assert "endo-nil-kernel-open" in names

@@ -17,10 +17,10 @@ from ordlen.finite_oracle import (
     enumerate_endos,
     enumerate_submodules,
     in_span,
-    intersect_spans,
     kernel_of_map,
     longest_chain,
     reduce_mod,
+    socle,
     solve_homogeneous,
     span_vectors,
 )
@@ -37,19 +37,7 @@ def I1(text):
     return parse_ideal(text, ("x",))
 
 
-def brute_span(vectors):
-    span = {0}
-    for v in vectors:
-        span |= {s ^ v for s in span}
-    return span
-
-
-def apply_table(table, v):
-    out = 0
-    for i, image in enumerate(table):
-        if (v >> i) & 1:
-            out ^= image
-    return out
+brute_span, apply_table = brute.span, brute.apply
 
 
 # -- linear algebra primitives ----------------------------------------------
@@ -113,15 +101,6 @@ def test_solve_homogeneous_against_brute_force():
             if all((eq & v).bit_count() % 2 == 0 for eq in eqs)
         }
         assert brute_span(sols) == expect
-
-
-def test_intersect_spans_against_brute_force():
-    rng = random.Random(35)
-    for _ in range(100):
-        a = [rng.randrange(32) for _ in range(3)]
-        b = [rng.randrange(32) for _ in range(3)]
-        got = intersect_spans(echelon(a), echelon(b))
-        assert brute_span(got) == brute_span(a) & brute_span(b)
 
 
 # -- module construction ------------------------------------------------------
@@ -264,3 +243,37 @@ def test_endo_kernel_image_power():
     identity = (0b001, 0b010, 0b100)
     assert endo_power(M, identity, 5) == identity
     assert kernel_of_map(identity) == ()
+
+
+def test_socle_is_what_every_variable_kills():
+    assert socle(FiniteModule.from_quotient(I2("x^2, x*y, y^2"))) == (0b100, 0b010)
+    assert socle(FiniteModule.from_quotient(I2("x, y"))) == (0b1,)
+    for J in artinian_ideals_containing_power(2, 4):
+        M = FiniteModule.from_quotient(J)
+        killed = {
+            v for v in range(1 << M.dim) if not any(apply_table(a, v) for a in M.actions)
+        }
+        assert brute_span(socle(M)) == killed
+
+
+def test_endo_theorem_closed_forms_agree_with_the_submodule_sweep():
+    """A kernel is essential when it holds the socle, and a kernel and an
+    image meet in zero when their bases stay independent together."""
+    ideals = artinian_ideals_containing_power(2, 4) + artinian_ideals_containing_power(3, 3)
+    essential_seen, meet_zero_seen, cases = set(), set(), 0
+    for J in ideals:
+        M = FiniteModule.from_quotient(J)
+        if not 1 <= M.dim <= 5:
+            continue
+        subs, soc = enumerate_submodules(M), socle(M)
+        for table in enumerate_endos(M):
+            ker, img = kernel_of_map(table), echelon(table)
+            essential = all(in_span(ker, v) for v in soc)
+            assert essential == brute.kernel_is_essential(table, subs), (J, table)
+            meet_zero = len(echelon(ker + img)) == len(ker) + len(img)
+            assert meet_zero == brute.spans_meet_in_zero(ker, img), (J, table)
+            essential_seen.add(essential)
+            meet_zero_seen.add(meet_zero)
+            cases += 1
+    assert cases == 976
+    assert essential_seen == meet_zero_seen == {True, False}
