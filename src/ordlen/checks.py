@@ -138,22 +138,46 @@ def _split_reconstructs(a: Ordinal, e: int) -> bool:
     return high + low == a and high.shuffle_sum(low) == a
 
 
-def _associative(a: Ordinal, b: Ordinal, c: Ordinal) -> bool:
-    ab, bc = a.shuffle_sum(b), b.shuffle_sum(c)
-    return (a + b) + c == a + (b + c) and ab.shuffle_sum(c) == a.shuffle_sum(bc)
+def _sum_tables(pool: list[Ordinal], op):
+    """Every sum of ``op`` that a triple of the pool needs, each computed
+    once and interned as an index: ``pair[i][j]`` is a∘b, and for m the
+    index of such a sum, ``left[m][k]`` is (a∘b)∘c and ``right[i][m]``
+    is a∘(b∘c).  Equal sums share an index, so a triple is associative
+    exactly when ``left[pair[i][j]][k] == right[i][pair[j][k]]``."""
+    mid: dict[Ordinal, int] = {}
+    pair = [[mid.setdefault(op(a, b), len(mid)) for b in pool] for a in pool]
+    final: dict[Ordinal, int] = {}
+    left = [[final.setdefault(op(s, c), len(final)) for c in pool] for s in mid]
+    right = [[final.setdefault(op(a, s), len(final)) for s in mid] for a in pool]
+    return pair, left, right
+
+
+def _assoc(pool: list[Ordinal]) -> list[CheckResult]:
+    """Associativity of both sums on every triple of the pool, decided on
+    the interned sum tables, so each distinct sum is computed once and
+    not 8 times per triple; a failing triple is shown as its ordinals."""
+    (pa, la, ra), (ps, ls, rs) = (
+        _sum_tables(pool, op) for op in (Ordinal.__add__, Ordinal.shuffle_sum)
+    )
+
+    def associative(ijk) -> bool:
+        i, j, k = ijk
+        return la[pa[i][j]][k] == ra[i][pa[j][k]] and ls[ps[i][j]][k] == rs[i][ps[j][k]]
+
+    return sweep(itertools.product(range(len(pool)), repeat=3),
+        [("ordinal-assoc", "triples: both sums associative", associative)],
+        witness=lambda ijk: tuple(pool[i] for i in ijk))
 
 
 def _ordinal(corpus: Corpus) -> list[CheckResult]:
     pool = _ordinals_up_to(corpus.max_deg, MAX_COEFF)
     splits = ((a, e) for a in pool for e in range(corpus.max_deg + 2))
-    triples = itertools.product(_ordinals_up_to(2, 2), repeat=3)
     return [
         *sweep(itertools.product(pool, repeat=2), [("ordinal-pair-laws",
             "pairs: weaker ⇒ ≤, difference, sum domination", lambda ab: _pair_laws(*ab))]),
         *sweep(splits, [("ordinal-split",
             "splits: reconstructed under both sums", lambda ae: _split_reconstructs(*ae))]),
-        *sweep(triples, [("ordinal-assoc",
-            "triples: both sums associative", lambda abc: _associative(*abc))]),
+        *_assoc(_ordinals_up_to(2, 2)),
     ]
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from .checks import OPTIONS, run_suites
 from .cycles import Cycle, MonomialPrime
@@ -119,11 +120,16 @@ def _prim(module, names, args):
     if unknown:
         raise ParseError(f"unknown prime variables: {unknown}", args.prime or "", 0)
     P = MonomialPrime.of(module.n, tuple(index[g] for g in gens))
-    K = prim_kernel(module, P)
+    associated = P in ass(module)
+    with warnings.catch_warnings():
+        # the record's ``associated`` field reports what prim_kernel warns of
+        warnings.simplefilter("ignore", UserWarning)
+        K = prim_kernel(module, P)
     quotient = module.quotient_by(K.I)
     identity = length(K).shuffle_sum(length(quotient)) == length(module)
-    record = dict(prime=P, kernel_numerator=K.I, kernel_length=length(K),
-                  quotient_length=length(quotient), length_identity=identity)
+    record = dict(prime=P, associated=associated, kernel_numerator=K.I,
+                  kernel_length=length(K), quotient_length=length(quotient),
+                  length_identity=identity)
     return record, None
 
 

@@ -261,3 +261,10 @@ def kernel_is_essential(table, submodules) -> bool:
 
 def spans_meet_in_zero(a, b) -> bool:
     return span(a) & span(b) == {0}
+
+
+def ordinal_associative(a, b, c) -> bool:
+    """Whether both the ordinal sum and the shuffle sum are associative
+    on the triple, every one of the eight sums computed from scratch."""
+    ab, bc = a.shuffle_sum(b), b.shuffle_sum(c)
+    return (a + b) + c == a + (b + c) and ab.shuffle_sum(c) == a.shuffle_sum(bc)

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from ordlen.checks import run_suites
+from ordlen.checks import _sum_tables, run_suites
 from ordlen.corpus import artinian_ideals_containing_power
 from ordlen.cycles import Cycle, MonomialPrime
 from ordlen.endo_fixture import check_endo_fixture
@@ -151,26 +151,10 @@ def test_c12_ordinal_algebra_exhaustive():
         assert_all_pass(run_suites(["ordinal"], max_deg=3))
 
         # associativity over every triple from the full pool, for both
-        # sums, by interning each pairwise result and comparing the
-        # composed index tables
+        # sums, by comparing the composed tables of interned sums
         pool = [Ordinal(c) for c in itertools.product(range(4), repeat=4)]
         for op in (Ordinal.__add__, Ordinal.shuffle_sum):
-            mid_index = {}
-            pair = [[0] * len(pool) for _ in pool]
-            for i, a in enumerate(pool):
-                for j, b in enumerate(pool):
-                    s = op(a, b)
-                    pair[i][j] = mid_index.setdefault(s, len(mid_index))
-            mids = sorted(mid_index, key=mid_index.get)
-            final_index = {}
-            left = [[0] * len(pool) for _ in mids]
-            right = [[0] * len(mids) for _ in pool]
-            for m, s in enumerate(mids):
-                for k, c in enumerate(pool):
-                    left[m][k] = final_index.setdefault(op(s, c), len(final_index))
-            for i, a in enumerate(pool):
-                for m, s in enumerate(mids):
-                    right[i][m] = final_index.setdefault(op(a, s), len(final_index))
+            pair, left, right = _sum_tables(pool, op)
             pair_t = np.array(pair, dtype=np.int32)
             left_t = np.array(left, dtype=np.int32)
             right_t = np.array(right, dtype=np.int32)

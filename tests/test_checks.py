@@ -1,11 +1,14 @@
 """The named check suites and their reporting."""
 
+import itertools
 import json
 
 import pytest
 
+import brute
 import ordlen.checks
-from ordlen.checks import SUITES, Corpus, run_suites
+from ordlen.checks import SUITES, Corpus, _ordinals_up_to, run_suites
+from ordlen.ordinal import Ordinal
 from ordlen.reporting import CheckResult, render_results, sweep
 
 
@@ -74,6 +77,38 @@ def test_strict_join_fails_when_no_join_is_strictly_weaker(monkeypatch):
         results = run_suites(["latt"], max_vars=2, max_deg=max_deg)
         (strict,) = [r for r in results if r.name == "latt-join-strict"]
         assert not strict.passed and "no strictly weaker join" in strict.detail
+
+
+def _assoc_records():
+    """The ``ordinal-assoc`` record of the suite, and the same law swept
+    triple by triple with every sum computed from scratch."""
+    (suite,) = [r for r in run_suites(["ordinal"], max_deg=2) if r.name == "ordinal-assoc"]
+    triples = itertools.product(_ordinals_up_to(2, 2), repeat=3)
+    (oracle,) = sweep(triples, [("ordinal-assoc", "triples: both sums associative",
+                                 lambda abc: brute.ordinal_associative(*abc))])
+    return suite, oracle
+
+
+def test_assoc_tables_agree_with_the_per_triple_law():
+    suite, oracle = _assoc_records()
+    assert suite == oracle
+    assert suite.passed and suite.cases == 19683
+
+
+@pytest.mark.parametrize("op, failures", [("__add__", 2754), ("shuffle_sum", 13122)])
+def test_assoc_fails_with_a_nonassociative_sum(monkeypatch, op, failures):
+    summed = getattr(Ordinal, op)
+
+    def left_constant_doubled(a, b):
+        s = summed(a, b)
+        return Ordinal((s.coeff(0) + a.coeff(0),) + s.coeffs[1:])
+
+    monkeypatch.setattr(Ordinal, op, left_constant_doubled)
+    suite, oracle = _assoc_records()
+    assert suite == oracle
+    assert not suite.passed and suite.cases == 19683
+    first = (Ordinal((1,)), Ordinal(()), Ordinal(()))
+    assert suite.detail.endswith(f"; {failures} failures, first: {first}")
 
 
 ORACLE_COUNTS = [

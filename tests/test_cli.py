@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour via main(argv)."""
 
 import json
+import warnings
 
 import pytest
 
@@ -82,6 +83,16 @@ def test_prim_kernel_report(capsys):
     assert "kernel length: 1" in out
     assert "quotient length: w" in out
     assert "length identity: True" in out
+
+
+def test_prim_off_ass_is_a_field_not_a_warning(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            capsys, "prim", "--vars", "x,y", "--ideal", "x^2,x*y", "--prime", "y"
+        )
+    assert code == 0 and err == ""
+    assert "associated: False" in out
 
 
 def test_endo_report(capsys):
@@ -200,6 +211,7 @@ GOLDEN_TEXT = {
     ),
     ("prim", "quotient"): (
         "prime: [x]",
+        "associated: True",
         "kernel numerator: (x)",
         "kernel length: 1",
         "quotient length: w",
@@ -224,6 +236,7 @@ GOLDEN_TEXT = {
     ),
     ("prim", "subquotient"): (
         "prime: [x]",
+        "associated: True",
         "kernel numerator: (x*y, x^2)",
         "kernel length: 0",
         "quotient length: w",
@@ -248,6 +261,7 @@ GOLDEN_TEXT = {
     ),
     ("prim", "zero"): (
         "prime: [x]",
+        "associated: False",
         "kernel numerator: (1)",
         "kernel length: 0",
         "quotient length: 0",
@@ -280,6 +294,7 @@ GOLDEN_JSON = {
     },
     ("prim", "quotient"): {
         "prime": "[x]",
+        "associated": True,
         "kernel_numerator": _ideal((1, 0)),
         "kernel_length": "1",
         "quotient_length": "w",
@@ -325,6 +340,7 @@ GOLDEN_JSON = {
     },
     ("prim", "subquotient"): {
         "prime": "[x]",
+        "associated": True,
         "kernel_numerator": _ideal((1, 1), (2, 0)),
         "kernel_length": "0",
         "quotient_length": "w",
@@ -367,6 +383,7 @@ GOLDEN_JSON = {
     },
     ("prim", "zero"): {
         "prime": "[x]",
+        "associated": False,
         "kernel_numerator": _ideal((0, 0)),
         "kernel_length": "0",
         "quotient_length": "0",
