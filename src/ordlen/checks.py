@@ -427,7 +427,8 @@ def _multendo(corpus: Corpus) -> list[CheckResult]:
             ("multendo-reductive-bound", "maps: reductive power ≤ valence",
              lambda c: c.a.reductive_power <= c.mu.valence),
             ("multendo-reductive-rank-nullity", "maps: rank-nullity at the reductive power",
-             lambda c: mult_endo(c.M, c.r.pow(c.a.reductive_power)).satisfies_rank_nullity),
+             lambda c: (c.a if c.a.reductive else mult_endo(c.M, c.r.pow(c.a.reductive_power)))
+             .satisfies_rank_nullity),
             ("multendo-unmixed-rank-nullity", "maps on unmixed modules: rank-nullity for all r",
              lambda c: c.a.satisfies_rank_nullity if c.unmixed else None),
         ],

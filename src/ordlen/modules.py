@@ -70,6 +70,15 @@ class MonomialModule(Frozen):
         if not contains(self.I, self.J):
             raise ValueError("the denominator ideal must be contained in the numerator")
 
+    @classmethod
+    def _trusted(cls, n: int, I: MonomialIdeal, J: MonomialIdeal) -> "MonomialModule":
+        """The module I/J for ideals in n variables with J <= I, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "I", I)
+        object.__setattr__(self, "J", J)
+        return self
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -87,17 +96,23 @@ class MonomialModule(Frozen):
     def is_zero(self) -> bool:
         return self.I == self.J
 
-    def submodule(self, numerator: MonomialIdeal) -> "MonomialModule":
-        """The submodule numerator/J; the numerator must sit between J and I."""
+    def _check_numerator(self, numerator: MonomialIdeal) -> None:
+        """J <= numerator <= I in this module's ambient, which also gives
+        J <= I for either module built from it."""
+        if numerator.n != self.n:
+            raise ValueError("ideal ambient does not match module ambient")
         if not contains(self.I, numerator) or not contains(numerator, self.J):
             raise ValueError("submodule numerator must sit between J and I")
-        return MonomialModule(self.n, numerator, self.J)
+
+    def submodule(self, numerator: MonomialIdeal) -> "MonomialModule":
+        """The submodule numerator/J; the numerator must sit between J and I."""
+        self._check_numerator(numerator)
+        return MonomialModule._trusted(self.n, numerator, self.J)
 
     def quotient_by(self, numerator: MonomialIdeal) -> "MonomialModule":
         """The quotient of this module by the submodule numerator/J."""
-        if not contains(self.I, numerator) or not contains(numerator, self.J):
-            raise ValueError("submodule numerator must sit between J and I")
-        return MonomialModule(self.n, self.I, numerator)
+        self._check_numerator(numerator)
+        return MonomialModule._trusted(self.n, self.I, numerator)
 
     def __repr__(self) -> str:
         return f"MonomialModule({self.n}, I={self.I!r}, J={self.J!r})"

@@ -80,9 +80,6 @@ class Monomial(Frozen):
     def divides(self, other: "Monomial") -> bool:
         return all(a <= b for a, b in zip(self.exps, other.exps))
 
-    def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exps, other.exps)))
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
             return NotImplemented
@@ -90,10 +87,6 @@ class Monomial(Frozen):
 
     def pow(self, k: int) -> "Monomial":
         return Monomial(tuple(a * k for a in self.exps))
-
-    def colon_by(self, other: "Monomial") -> "Monomial":
-        """The generator self : other, i.e. max(self - other, 0) exponentwise."""
-        return Monomial(tuple(max(a - b, 0) for a, b in zip(self.exps, other.exps)))
 
     def to_text(self, names: Sequence[str]) -> str:
         if self.is_one:
@@ -179,9 +172,15 @@ class MonomialIdeal(Frozen):
         return f"MonomialIdeal({self.n}, {[g.exps for g in self.gens]})"
 
 
+def _same_ambient(n: int, other: int) -> None:
+    if n != other:
+        raise ValueError(f"ambient mismatch: {n} vs {other}")
+
+
 def member(m: Monomial, ideal: MonomialIdeal) -> bool:
     """Monomial membership: some generator divides m."""
-    return any(g.divides(m) for g in ideal.gens)
+    e = m.exps
+    return any(all(map(int.__le__, g.exps, e)) for g in ideal.gens)
 
 
 def contains(big: MonomialIdeal, small: MonomialIdeal) -> bool:
@@ -189,9 +188,19 @@ def contains(big: MonomialIdeal, small: MonomialIdeal) -> bool:
     return all(member(g, big) for g in small.gens)
 
 
+# The operations below build their results unchecked from exponent
+# tuples: a max, a sum, a truncated difference or a zeroing of naturals
+# is a natural, so only the ambients need checking.  The trusted
+# constructor still minimalizes, so generators stay canonical.
+
+
 def colon_mono(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     """The colon ideal (ideal : m)."""
-    return MonomialIdeal(ideal.n, tuple(g.colon_by(m) for g in ideal.gens))
+    _same_ambient(ideal.n, m.n)
+    r = m.exps
+    return MonomialIdeal._trusted(
+        ideal.n, (tuple(a - b if a > b else 0 for a, b in zip(g.exps, r)) for g in ideal.gens)
+    )
 
 
 def colon_ideal(ideal: MonomialIdeal, by: MonomialIdeal) -> MonomialIdeal:
@@ -207,9 +216,10 @@ def colon_ideal(ideal: MonomialIdeal, by: MonomialIdeal) -> MonomialIdeal:
 def saturate_mono(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     """The saturation (ideal : m^infinity): the ideal with the exponents
     of m's variables zeroed in every generator."""
-    return MonomialIdeal(
-        ideal.n,
-        tuple(Monomial(tuple(0 if b else a for a, b in zip(g.exps, m.exps))) for g in ideal.gens),
+    _same_ambient(ideal.n, m.n)
+    r = m.exps
+    return MonomialIdeal._trusted(
+        ideal.n, (tuple(0 if b else a for a, b in zip(g.exps, r)) for g in ideal.gens)
     )
 
 
@@ -226,21 +236,23 @@ def saturate(ideal: MonomialIdeal, by: MonomialIdeal) -> MonomialIdeal:
 
 def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     """Intersection via pairwise lcm of generators."""
-    if a.n != b.n:
-        raise ValueError(f"ambient mismatch: {a.n} vs {b.n}")
-    return MonomialIdeal(a.n, tuple(g.lcm(h) for g in a.gens for h in b.gens))
+    _same_ambient(a.n, b.n)
+    return MonomialIdeal._trusted(
+        a.n, (tuple(map(max, g.exps, h.exps)) for g in a.gens for h in b.gens)
+    )
 
 
 def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     """The sum ideal, generated by both generator sets."""
-    if a.n != b.n:
-        raise ValueError(f"ambient mismatch: {a.n} vs {b.n}")
-    return MonomialIdeal(a.n, a.gens + b.gens)
+    _same_ambient(a.n, b.n)
+    return MonomialIdeal._trusted(a.n, (g.exps for g in a.gens + b.gens))
 
 
 def multiply(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     """The product m * ideal."""
-    return MonomialIdeal(ideal.n, tuple(g * m for g in ideal.gens))
+    _same_ambient(ideal.n, m.n)
+    r = m.exps
+    return MonomialIdeal._trusted(ideal.n, (tuple(map(int.__add__, g.exps, r)) for g in ideal.gens))
 
 
 def ideal_of_prime(p: MonomialPrime) -> MonomialIdeal:

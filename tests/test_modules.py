@@ -1,6 +1,8 @@
 """Length calculus of monomial subquotients."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -81,6 +83,27 @@ def test_submodule_and_quotient_validation():
     assert N.I == I2("y, x^2")
     Q = M.quotient_by(I2("x, y"))
     assert Q.J == I2("x, y")
+
+
+def test_sandwich_is_checked_once_and_trusted_modules_round_trip():
+    """submodule and quotient_by check J <= N <= I and the ambient
+    themselves, then build their result unchecked; pickling and copying
+    rebuild it through the validating constructor."""
+    M = sub("x, y^2", "x^2, x*y, y^3")
+    outside = (I2("x^2"), I2("y"), parse_ideal("x, y^3", ("x", "y", "z")))
+    for numerator in outside:
+        with pytest.raises(ValueError):
+            M.submodule(numerator)
+        with pytest.raises(ValueError):
+            M.quotient_by(numerator)
+    N = I2("x, y^3")
+    for built, checked in ((M.submodule(N), sub("x, y^3", "x^2, x*y, y^3")),
+                           (M.quotient_by(N), sub("x, y^2", "x, y^3"))):
+        assert built == checked and hash(built) == hash(checked)
+        for twin in (pickle.loads(pickle.dumps(built)), copy.copy(built)):
+            assert twin == built and hash(twin) == hash(built)
+    with pytest.raises(ValueError):
+        copy.copy(MonomialModule._trusted(2, I2("x^2"), I2("x")))
 
 
 def test_zero_module_conventions():

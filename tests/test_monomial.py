@@ -49,11 +49,12 @@ def M2(text):
 
 def test_monomial_operations():
     a, b = M2("x^2*y"), M2("x*y^3")
+    A, B = MonomialIdeal(2, (a,)), MonomialIdeal(2, (b,))
     assert a * b == Monomial((3, 4))
-    assert a.lcm(b) == Monomial((2, 3))
+    assert intersect(A, B) == MonomialIdeal(2, (Monomial((2, 3)),))
     assert not a.divides(b) and a.divides(a * b)
-    assert a.colon_by(b) == Monomial((1, 0))
-    assert b.colon_by(a) == Monomial((0, 2))
+    assert colon_mono(A, b) == MonomialIdeal(2, (Monomial((1, 0)),))
+    assert colon_mono(B, a) == MonomialIdeal(2, (Monomial((0, 2)),))
     assert a.pow(3) == Monomial((6, 3))
     assert Monomial.one(2).divides(a)
     assert a.degree == 3 and a.support == (0, 1)
@@ -217,6 +218,55 @@ def test_intersect_and_sum_match_brute():
             assert member(Monomial(m), got_s) == (
                 brute.member(m, ag) or brute.member(m, bg)
             )
+
+
+def test_kernel_matches_brute_in_one_to_four_variables():
+    """colon_mono, intersect, ideal_sum and multiply build their results
+    unchecked from exponent tuples: the generators are still the minimal
+    ones of the naive generator set, and membership agrees with the box
+    brutes."""
+    rng = random.Random(16)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        ag, bg = random_exps_ideal(rng, n), random_exps_ideal(rng, n)
+        a, b = exps_ideal(n, ag), exps_ideal(n, bg)
+        m = tuple(rng.randint(0, 2) for _ in range(n))
+        cases = {
+            "colon": (
+                colon_mono(a, Monomial(m)),
+                [tuple(max(x - y, 0) for x, y in zip(g, m)) for g in ag],
+                lambda c: brute.colon_member(c, ag, m),
+            ),
+            "intersect": (
+                intersect(a, b),
+                [tuple(max(x, y) for x, y in zip(g, h)) for g in ag for h in bg],
+                lambda c: brute.member(c, ag) and brute.member(c, bg),
+            ),
+            "sum": (
+                ideal_sum(a, b),
+                ag + bg,
+                lambda c: brute.member(c, ag) or brute.member(c, bg),
+            ),
+            "multiply": (
+                multiply(a, Monomial(m)),
+                [tuple(x + y for x, y in zip(g, m)) for g in ag],
+                lambda c: brute.divides(m, c)
+                and brute.member(tuple(x - y for x, y in zip(c, m)), ag),
+            ),
+        }
+        for op, (got, naive, predicate) in cases.items():
+            gens = [g.exps for g in got.gens]
+            assert gens == brute.minimal(naive), (op, ag, bg, m)
+            for cell in brute.box(n, 5 if n < 4 else 3):
+                assert brute.member(cell, gens) == predicate(cell), (op, ag, bg, m, cell)
+
+
+@pytest.mark.parametrize("op", [colon_mono, saturate_mono, multiply])
+def test_monomial_operations_refuse_an_ambient_mismatch(op):
+    # zip alone would drop the extra variable, making (x) : (1, 0, 5) the unit ideal
+    for m in (Monomial((1, 0, 5)), Monomial((1,))):
+        with pytest.raises(ValueError, match="ambient mismatch"):
+            op(I2("x"), m)
 
 
 def test_multiply():
