@@ -67,10 +67,11 @@ def sandwich_numerators(J: MonomialIdeal, I: MonomialIdeal, d: int) -> Iterator[
     """Numerators I′ with J ⊆ I′ ⊆ I generated over J by at most two
     monomials of ``sandwich_monomials``, each once, J first."""
     pool = list(sandwich_monomials(J, I, d))
+    base = [g.exps for g in J.gens]
     seen = set()
     for size in range(3):
         for combo in itertools.combinations(pool, size):
-            ideal = ideal_sum(J, MonomialIdeal(J.n, combo))
+            ideal = MonomialIdeal._trusted(J.n, base + [m.exps for m in combo])
             if ideal.gens not in seen:
                 seen.add(ideal.gens)
                 yield ideal

@@ -26,10 +26,11 @@ from .frozen import Frozen
 from .monomial import (
     Monomial,
     MonomialIdeal,
+    _h0_scan,
+    _minimal,
     colon_ideal,
     colon_mono,
     contains,
-    h0_count,
     ideal_of_prime,
     ideal_sum,
     intersect,
@@ -157,12 +158,21 @@ def fcyc(module: MonomialModule) -> Cycle:
     outside P and whose head lies in I : x_F^infinity
     (Sturmfels-Trung-Vogel).
     Only finitely many primes carry weight; they are exactly the
-    associated primes of the module.  Those contain J, since
-    Ass(I/J) <= Ass(R/J) (Hosten-Smith, "Monomial ideals"), so only the
-    candidate primes are visited: the sets of variables that occur in J
-    and meet the support of every generator of J.  Elsewhere the weight
-    is 0, because a kept variable outside J has no torsion, and a
-    generator of J that becomes a unit makes I and J agree.
+    associated primes of the module.  Those lie in Ass(R/J), since
+    Ass(I/J) <= Ass(R/J) (Hosten-Smith, "Monomial ideals"), so only
+    primes that can be associated to R/J are scanned:
+    - P is a set S of variables that occur in J and meet the support of
+      every generator of J.  Elsewhere the weight is 0, because a kept
+      variable outside J has no torsion, and a generator of J that
+      becomes a unit makes I and J agree.
+    - J localized at P has at least |S| minimal generators.  An
+      associated P has a socle monomial x^c in the localized R/J, and
+      for each i in S some minimal generator divides x^c x_i but not
+      x^c, so its x_i exponent is c_i + 1 while the others' are at most
+      c_i: these generators are distinct.  So the walk stops at |S| =
+      the generator count of J.
+    - I and J differ once localized at P.
+    The scan runs on exponent tuples, with no ideal built per prime.
 
     A module with more than ``MAX_PRIME_VARS`` variables occurring in J
     raises GuardError.  The guard depends on the module alone and the
@@ -178,14 +188,22 @@ def fcyc(module: MonomialModule) -> Cycle:
             f"the prime walk over the {len(occurring)} variables that occur in the "
             f"denominator exceeds the bound of {MAX_PRIME_VARS} (MAX_PRIME_VARS)"
         )
+    num_exps = [g.exps for g in module.I.gens]
+    den_exps = [g.exps for g in module.J.gens]
     supports = {sum(1 << i for i in g.support) for g in module.J.gens}
     terms = []
-    for size in range(len(occurring) + 1):
+    for size in range(min(len(occurring), len(den_exps)) + 1):
         for combo in itertools.combinations(occurring, size):
             mask = sum(1 << i for i in combo)
             if not all(mask & s for s in supports):
                 continue
-            c = h0_count(*localize_pair(module.I, module.J, combo))
+            den = _minimal([tuple(e[i] for i in combo) for e in den_exps])
+            if len(den) < size:
+                continue
+            num = _minimal([tuple(e[i] for i in combo) for e in num_exps])
+            if num == den:
+                continue
+            c = _h0_scan(num, den, size)
             if c:
                 terms.append((MonomialPrime.of(n, combo), c))
     return Cycle(n, tuple(terms))

@@ -80,11 +80,6 @@ class Monomial(Frozen):
     def divides(self, other: "Monomial") -> bool:
         return all(a <= b for a, b in zip(self.exps, other.exps))
 
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
-
     def pow(self, k: int) -> "Monomial":
         return Monomial(tuple(a * k for a in self.exps))
 
@@ -103,15 +98,20 @@ class Monomial(Frozen):
         return f"Monomial({self.exps!r})"
 
 
-def _minimal_gens(exps: Iterable[tuple[int, ...]]) -> tuple[Monomial, ...]:
-    """Minimal generators of the ideal the exponent vectors generate,
+def _minimal(exps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The minimal exponent vectors of the ideal the vectors generate,
     sorted by degree and then exponents: every vector a kept one divides
     is dropped."""
     kept: list[tuple[int, ...]] = []
     for e in sorted(set(exps), key=lambda e: (sum(e), e)):
         if not any(all(map(int.__le__, g, e)) for g in kept):
             kept.append(e)
-    return tuple(map(Monomial._trusted, kept))
+    return kept
+
+
+def _minimal_gens(exps: Iterable[tuple[int, ...]]) -> tuple[Monomial, ...]:
+    """Minimal generators of the ideal the exponent vectors generate."""
+    return tuple(map(Monomial._trusted, _minimal(exps)))
 
 
 class MonomialIdeal(Frozen):
@@ -297,13 +297,19 @@ def h0_count(numerator: MonomialIdeal, denominator: MonomialIdeal) -> int:
     max(0, t_J - max(t_I, t_i...)) counted monomials and the scan visits
     lines, not cells.
     """
-    n = numerator.n
     if numerator == denominator:
         return 0
+    return _h0_scan(
+        [g.exps for g in numerator.gens], [g.exps for g in denominator.gens], numerator.n
+    )
+
+
+def _h0_scan(num: Sequence[tuple[int, ...]], den: Sequence[tuple[int, ...]], n: int) -> int:
+    """``h0_count`` on the minimal exponent vectors of two different
+    ideals in n variables, the numerator's and the denominator's."""
     if n == 0:
         # the ring is the ground field; the module is it or nothing
         return 1
-    den = [g.exps for g in denominator.gens]
     caps = [max((e[j] for e in den), default=0) for j in range(n)]
     if not all(caps):
         # no generator involves some x_i, so J : x_i^infinity = J and nothing is torsion
@@ -317,7 +323,7 @@ def h0_count(numerator: MonomialIdeal, denominator: MonomialIdeal) -> int:
             f"{MAX_H0_LINES} (MAX_H0_LINES)"
         )
     # each generator as (exponent of v, exponents of the other variables)
-    num = [(e[v], [e[j] for j in others]) for e in (g.exps for g in numerator.gens)]
+    num = [(e[v], [e[j] for j in others]) for e in num]
     den = [(e[v], [e[j] for j in others]) for e in den]
     never = caps[v]  # a threshold at or past the cap excludes the whole line
     count = 0

@@ -43,6 +43,8 @@ from ordlen.monomial import (
     member,
     parse_ideal,
     parse_monomial,
+    _h0_scan,
+    _minimal,
 )
 from ordlen.ordinal import OMEGA, ONE, ZERO, Ordinal
 
@@ -575,21 +577,82 @@ def test_the_cache_never_bypasses_the_guard():
 
 
 def test_fcyc_visits_only_candidate_primes(monkeypatch):
-    visits = []
+    """fcyc scans a prime only when J localized there has at least as
+    many minimal generators as the prime has variables."""
+    scans = []
 
-    def counting(*args):
-        visits.append(args[2])
-        return localize_pair(*args)
+    def counting(num, den, n):
+        scans.append(n)
+        return _h0_scan(num, den, n)
 
-    monkeypatch.setattr(modules, "localize_pair", counting)
+    monkeypatch.setattr(modules, "_h0_scan", counting)
     fcyc.cache_clear()
     names = tuple(f"x{i + 1}" for i in range(12))
     M = MonomialModule.quotient_ring(parse_ideal("x1^2, x1*x2", names))
     assert length(M) == Ordinal.parse("w^11 + w^10")
-    assert len(visits) <= 4
-    visits.clear()
+    assert len(scans) <= 2
+    scans.clear()
     assert length(MonomialModule.quotient_ring(MonomialIdeal.zero(13))) == Ordinal.omega_power(13)
-    assert visits == [()]
+    assert scans == [0]
+    # one generator: the 12 primes (x_i), not the 4,095 candidates
+    scans.clear()
+    product = MonomialModule.quotient_ring(parse_ideal("*".join(names), names))
+    assert length(product) == Ordinal.parse("12w^11")
+    assert scans == [1] * 12
+    # the scan at (x, y, z) would exceed MAX_H0_LINES; it is never made
+    scans.clear()
+    xyz = parse_ideal("x^1001*y^1001*z^1001", ("x", "y", "z"))
+    assert length(MonomialModule.quotient_ring(xyz)) == Ordinal.parse("3003w^2")
+    assert scans == [1] * 3
+    with pytest.raises(GuardError, match="MAX_H0_LINES"):
+        h0_count(MonomialIdeal.unit(3), xyz)
+
+
+def few_generator_modules():
+    """Modules where J has fewer minimal generators than occurring
+    variables, so the generator count skips primes: principal ideals in
+    3-6 variables, the n-cycles (x_i^2 x_{i+1}^2) for n <= 6, and seeded
+    pairs."""
+    rng = random.Random(20)
+    cases = []
+    for n in range(3, 7):
+        for _ in range(4):
+            g = tuple(rng.randint(0, 3) for _ in range(n))
+            J = MonomialIdeal(n, (Monomial(g),))
+            cases.append(MonomialModule.quotient_ring(J))
+            divisor = Monomial(tuple(rng.randint(0, a) for a in g))
+            cases.append(MonomialModule(n, MonomialIdeal(n, (divisor,)), J))
+    for n in range(3, 7):
+        cycle = [tuple(2 if j in (i, (i + 1) % n) else 0 for j in range(n)) for i in range(n)]
+        cases.append(MonomialModule.quotient_ring(MonomialIdeal(n, tuple(map(Monomial, cycle)))))
+    while len(cases) < 120:
+        n = rng.randint(3, 6)
+        J = MonomialIdeal(n, tuple(
+            Monomial(tuple(rng.randint(0, 2) for _ in range(n))) for _ in range(rng.randint(1, n - 1))
+        ))
+        if J.is_unit or len(J.gens) >= len({i for g in J.gens for i in g.support}):
+            continue
+        extra = MonomialIdeal(n, (Monomial(tuple(rng.randint(0, 2) for _ in range(n))),))
+        I = rng.choice([MonomialIdeal.unit(n), ideal_sum(J, extra)])
+        cases.append(MonomialModule(n, I, J))
+    return cases
+
+
+def test_generator_count_skips_only_weightless_primes():
+    """Where J has fewer generators than variables, fcyc still finds
+    brute.fcyc's weights over all 2^n primes, and its scans of exponent
+    tuples agree with h0_count on the localized ideals."""
+    for M in few_generator_modules():
+        ig, jg = [g.exps for g in M.I.gens], [g.exps for g in M.J.gens]
+        assert {p.key: c for p, c in fcyc(M).terms} == brute.fcyc(ig, jg, M.n), M
+        for size in range(M.n + 1):
+            for keep in itertools.combinations(range(M.n), size):
+                num, den = localize_pair(M.I, M.J, keep)
+                num_t = _minimal([tuple(e[i] for i in keep) for e in ig])
+                den_t = _minimal([tuple(e[i] for i in keep) for e in jg])
+                assert [g.exps for g in den.gens] == den_t
+                if num != den:
+                    assert h0_count(num, den) == _h0_scan(num_t, den_t, size), (M, keep)
 
 
 def test_large_exponent_lengths_stay_fast():

@@ -50,9 +50,9 @@ def M2(text):
 def test_monomial_operations():
     a, b = M2("x^2*y"), M2("x*y^3")
     A, B = MonomialIdeal(2, (a,)), MonomialIdeal(2, (b,))
-    assert a * b == Monomial((3, 4))
+    assert multiply(A, b) == MonomialIdeal(2, (Monomial((3, 4)),))
     assert intersect(A, B) == MonomialIdeal(2, (Monomial((2, 3)),))
-    assert not a.divides(b) and a.divides(a * b)
+    assert not a.divides(b) and a.divides(Monomial((3, 4)))
     assert colon_mono(A, b) == MonomialIdeal(2, (Monomial((1, 0)),))
     assert colon_mono(B, a) == MonomialIdeal(2, (Monomial((0, 2)),))
     assert a.pow(3) == Monomial((6, 3))
@@ -482,5 +482,4 @@ def test_colon_then_multiply(a, exps):
     by = Monomial(exps)
     quot = colon_mono(a, by)
     assert contains(quot, a)
-    for g in quot.gens:
-        assert member(g * by, a)
+    assert contains(a, multiply(quot, by))
