@@ -24,7 +24,7 @@ from .corpus import (
     random_ideal,
     sandwich_numerators,
 )
-from .endo_fixture import DEFAULT_TRUNCATION, check_endo_fixture
+from .endo_fixture import check_endo_fixture
 from .finite_oracle import (
     FiniteModule,
     echelon,
@@ -60,12 +60,10 @@ from .monomial import (
     parse_ideal,
 )
 from .ordinal import Ordinal
-from .reporting import CheckResult, sweep
+from .reporting import OPTIONS, CheckResult, sweep
 
 # the coefficient bound of the ordinal pool
 MAX_COEFF = 3
-# the options of ``ordlen check`` and their defaults
-OPTIONS = {"max_vars": 3, "max_deg": 3, "seed": 0, "sample": 500, "truncation": DEFAULT_TRUNCATION}
 
 
 class Corpus:
@@ -86,21 +84,19 @@ class Corpus:
         return all_ideals(2, self.max_deg)
 
     @cached_property
-    def pairs(self) -> dict[str, list[tuple[MonomialIdeal, MonomialIdeal]]]:
-        """Contained pairs J ⊆ I by tag: every pair of ``ideals``, and with
-        max_vars ≥ 3 also ``sample`` seeded pairs in three variables, I
-        generated in degree ≤ max_deg."""
-        out = {"2var": contained_pairs(self.ideals)}
+    def modules(self) -> dict[str, list[MonomialModule]]:
+        """The module I/J of each contained pair J ⊆ I, by tag: every pair
+        of ``ideals``, and with max_vars ≥ 3 also ``sample`` seeded pairs
+        in three variables, I generated in degree ≤ max_deg."""
+        pairs = {"2var": contained_pairs(self.ideals)}
         if self.max_vars >= 3:
-            out["3var"] = random_contained_pairs(3, self.sample, self.seed, d=self.max_deg)
-        return out
+            pairs["3var"] = random_contained_pairs(3, self.sample, self.seed, d=self.max_deg)
+        return {tag: [MonomialModule(J.n, I, J) for J, I in ps] for tag, ps in pairs.items()}
 
     @cached_property
     def binary_modules(self) -> list[MonomialModule]:
-        """The nonzero binary modules I/J over all of ``pairs``."""
-        modules = (
-            MonomialModule(J.n, I, J) for pairs in self.pairs.values() for J, I in pairs
-        )
+        """The nonzero binary modules of ``modules``."""
+        modules = itertools.chain(*self.modules.values())
         return [M for M in modules if not M.is_zero and is_binary_module(M)]
 
 
@@ -108,9 +104,9 @@ def _fmt(ideal: MonomialIdeal) -> str:
     return f"({format_ideal(ideal, default_names(ideal.n))})"
 
 
-def _pair_text(x) -> str:
-    """The ideals J ⊆ I of a module, or of a case that names them."""
-    return f"J={_fmt(x.J)}, I={_fmt(x.I)}"
+def _pair_text(M: MonomialModule) -> str:
+    """The ideals J ⊆ I of a module."""
+    return f"J={_fmt(M.J)}, I={_fmt(M.I)}"
 
 
 # ----------------------------------------------------------------------
@@ -186,36 +182,35 @@ def _ordinal(corpus: Corpus) -> list[CheckResult]:
 # ----------------------------------------------------------------------
 
 
-def _exact_sequences(pairs):
+def _exact_sequences(modules):
     """0 → I/J → R/J → R/I → 0 with its three lengths."""
-    for J, I in pairs:
-        mu, quo = (length(MonomialModule.quotient_ring(K)) for K in (J, I))
-        yield Case(J=J, I=I, mu=mu, sub=length(MonomialModule(J.n, I, J)), quo=quo)
+    for M in modules:
+        mu, quo = (length(MonomialModule.quotient_ring(K)) for K in (M.J, M.I))
+        yield Case(M=M, mu=mu, sub=length(M), quo=quo)
 
 
 def _semiadd(corpus: Corpus) -> list[CheckResult]:
     return [
         record
-        for tag, pairs in corpus.pairs.items()
+        for tag, modules in corpus.modules.items()
         for record in sweep(
-            _exact_sequences(pairs),
+            _exact_sequences(modules),
             [
                 (f"semiadd-lower-{tag}", "exact sequences: len R/I + len I/J ≤ len R/J",
                  lambda c: (c.quo + c.sub) <= c.mu),
                 (f"semiadd-upper-{tag}", "exact sequences: len R/J ≤ len R/I ⊕ len I/J",
                  lambda c: c.mu <= c.quo.shuffle_sum(c.sub)),
             ],
-            _pair_text,
+            lambda c: _pair_text(c.M),
         )
     ]
 
 
-def _sandwiches(pairs, max_deg: int):
+def _sandwiches(modules, max_deg: int):
     """Submodules N/J of I/J with N generated over J by up to two monomials."""
-    for J, I in pairs:
-        M = MonomialModule(J.n, I, J)
-        for N in sandwich_numerators(J, I, max_deg):
-            yield Case(J=J, I=N, M=M)
+    for M in modules:
+        for N in sandwich_numerators(M.J, M.I, max_deg):
+            yield Case(M=M, sub=M.submodule(N))
 
 
 # Every length weaker than a probe's is realized by a submodule that the
@@ -234,12 +229,12 @@ def _weaker_lengths():
 def _submod(corpus: Corpus) -> list[CheckResult]:
     results = [
         record
-        for tag, pairs in corpus.pairs.items()
+        for tag, modules in corpus.modules.items()
         for record in sweep(
-            _sandwiches(pairs, corpus.max_deg),
+            _sandwiches(modules, corpus.max_deg),
             [(f"submod-monotone-{tag}", "sandwiched submodules N/J: len N/J ≼ len I/J",
-              lambda c: length(c.M.submodule(c.I)).weaker(length(c.M)))],
-            _pair_text,
+              lambda c: length(c.sub).weaker(length(c.M)))],
+            lambda c: _pair_text(c.sub),
         )
     ]
     return results + sweep(
@@ -255,12 +250,11 @@ def _submod(corpus: Corpus) -> list[CheckResult]:
 # ----------------------------------------------------------------------
 
 
-def _submodule_pairs(pairs, max_deg: int):
+def _submodule_pairs(modules, max_deg: int):
     """Pairs of sandwiched submodules N, N' of each I/J, with their lengths."""
-    for J, I in pairs:
-        M = MonomialModule(J.n, I, J)
+    for M in modules:
         binary = length(M).is_binary
-        family = list(sandwich_numerators(J, I, max_deg))
+        family = list(sandwich_numerators(M.J, M.I, max_deg))
         lengths = {N: length(M.submodule(N)) for N in family}
         for A, B in itertools.combinations_with_replacement(family, 2):
             la, lb = lengths[A], lengths[B]
@@ -283,7 +277,7 @@ def _join_text(c) -> str:
 
 def _latt(corpus: Corpus) -> list[CheckResult]:
     meet, join, equal = sweep(
-        _submodule_pairs(corpus.pairs["2var"], corpus.max_deg),
+        _submodule_pairs(corpus.modules["2var"], corpus.max_deg),
         [
             ("latt-meet", "pairs in binary-length modules: len(N ∩ N') = len N ∧ len N'",
              lambda c: length(c.M.submodule(intersect(c.A, c.B))) == c.la.meet(c.lb)
@@ -296,8 +290,8 @@ def _latt(corpus: Corpus) -> list[CheckResult]:
     )
     if corpus.max_deg < STRICT_JOIN_DEG:
         # Below that degree no pair can show a strictly weaker join.
-        pairs = contained_pairs(all_ideals(2, STRICT_JOIN_DEG))
-        (equal,) = sweep(_submodule_pairs(pairs, STRICT_JOIN_DEG), [JOIN_EQUAL], _join_text)
+        modules = Corpus(max_vars=2, max_deg=STRICT_JOIN_DEG).modules["2var"]
+        (equal,) = sweep(_submodule_pairs(modules, STRICT_JOIN_DEG), [JOIN_EQUAL], _join_text)
     # An existence claim: some join is strictly weaker, so equality fails.
     shown = equal.evidence.get("witnesses")
     found = f"strictly weaker join {shown[0]}" if shown else "no strictly weaker join"
@@ -392,11 +386,10 @@ def _maxassopen(corpus: Corpus) -> list[CheckResult]:
 # ----------------------------------------------------------------------
 
 
-def _multiplications(pairs):
+def _multiplications(modules):
     """Multiplication by each monomial of degree 1 or 2 on each nonzero I/J."""
     multipliers = [m for m in monomials_of_degree_at_most(2, 2) if m.degree >= 1]
-    for J, I in pairs:
-        M = MonomialModule(J.n, I, J)
+    for M in modules:
         if M.is_zero:
             continue
         mu = length(M)
@@ -404,13 +397,13 @@ def _multiplications(pairs):
         unmixed = len({p.dim for p in ass(M)}) == 1
         for r in multipliers:
             a = mult_endo(M, r)
-            yield Case(J=J, I=I, M=M, r=r, mu=mu, binary=binary, unmixed=unmixed, a=a,
+            yield Case(M=M, r=r, mu=mu, binary=binary, unmixed=unmixed, a=a,
                        kernel_open=a.kappa == mu)
 
 
 def _multendo(corpus: Corpus) -> list[CheckResult]:
     return sweep(
-        _multiplications(corpus.pairs["2var"]),
+        _multiplications(corpus.modules["2var"]),
         [
             ("multendo-weaker", "maps: kernel and image lengths ≼ μ",
              lambda c: c.a.kappa.weaker(c.mu) and c.a.theta.weaker(c.mu)),
@@ -422,8 +415,8 @@ def _multendo(corpus: Corpus) -> list[CheckResult]:
              lambda c: c.a.nilpotent == c.kernel_open if c.binary
              else c.a.nilpotent or not c.kernel_open),
             ("multendo-binary-nil-power", "maps on binary modules: nilpotent ⇒ r^valence kills",
-             lambda c: not c.a.nilpotent or contains(colon_mono(c.J, c.r.pow(c.mu.valence)), c.I)
-             if c.binary else None),
+             lambda c: not c.a.nilpotent
+             or contains(colon_mono(c.M.J, c.r.pow(c.mu.valence)), c.M.I) if c.binary else None),
             ("multendo-reductive-bound", "maps: reductive power ≤ valence",
              lambda c: c.a.reductive_power <= c.mu.valence),
             ("multendo-reductive-rank-nullity", "maps: rank-nullity at the reductive power",
@@ -432,7 +425,7 @@ def _multendo(corpus: Corpus) -> list[CheckResult]:
             ("multendo-unmixed-rank-nullity", "maps on unmixed modules: rank-nullity for all r",
              lambda c: c.a.satisfies_rank_nullity if c.unmixed else None),
         ],
-        lambda c: f"{_pair_text(c)}, r={c.r.to_text(default_names(c.J.n))}",
+        lambda c: f"{_pair_text(c.M)}, r={c.r.to_text(default_names(c.M.n))}",
     )
 
 

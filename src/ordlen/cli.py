@@ -18,7 +18,6 @@ import json
 import sys
 import warnings
 
-from .checks import OPTIONS, run_suites
 from .cycles import Cycle, MonomialPrime
 from .errors import GuardError, ParseError
 from .modules import (
@@ -28,7 +27,7 @@ from .monomial import (
     Monomial, MonomialIdeal, format_ideal, ideal_to_json, parse_ideal, parse_monomial,
 )
 from .ordinal import Ordinal
-from .reporting import render_results
+from .reporting import OPTIONS, render_results
 
 
 def parse_module(text: str) -> tuple[MonomialModule, tuple[str, ...]]:
@@ -158,6 +157,7 @@ def _cmd_module(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .checks import run_suites  # the check layer loads only for ``ordlen check``
     results = run_suites(args.suites, **{k: getattr(args, k) for k in OPTIONS})
     print(render_results(results, args.format))
     return 0 if all(r.passed for r in results) else 1

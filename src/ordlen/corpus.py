@@ -67,13 +67,12 @@ def sandwich_numerators(J: MonomialIdeal, I: MonomialIdeal, d: int) -> Iterator[
     """Numerators I′ with J ⊆ I′ ⊆ I generated over J by at most two
     monomials of ``sandwich_monomials``, each once, J first."""
     pool = list(sandwich_monomials(J, I, d))
-    base = [g.exps for g in J.gens]
     seen = set()
     for size in range(3):
         for combo in itertools.combinations(pool, size):
-            ideal = MonomialIdeal._trusted(J.n, base + [m.exps for m in combo])
-            if ideal.gens not in seen:
-                seen.add(ideal.gens)
+            ideal = MonomialIdeal._trusted(J.n, J.exps + tuple(m.exps for m in combo))
+            if ideal.exps not in seen:
+                seen.add(ideal.exps)
                 yield ideal
 
 

@@ -42,7 +42,6 @@ from .reporting import CheckResult, sweep
 
 Scalar = int | Fraction
 
-DEFAULT_TRUNCATION = 8
 # the box of the coefficient grid, and the sample count of the cubic laws
 GRID_LO, GRID_HI = -2, 2
 RING_LAW_SAMPLES = 200
@@ -242,7 +241,7 @@ def _nil_kernel_is_open(kernel: str, module: str, denominator: str) -> bool:
     )
 
 
-def check_endo_fixture(order: int = DEFAULT_TRUNCATION, seed: int = 0) -> list[CheckResult]:
+def check_endo_fixture(order: int, seed: int = 0) -> list[CheckResult]:
     """Every ring-theoretic claim about the (u, v, p) fixture, checked
     exhaustively on the coefficient grid and sampled for the cubic laws.
 

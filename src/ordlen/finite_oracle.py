@@ -15,7 +15,7 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import GuardError
-from .monomial import Monomial, MonomialIdeal
+from .monomial import Monomial, MonomialIdeal, _member
 
 SUBMODULE_DIM_CAP = 8
 ENDO_DIM_CAP = 5
@@ -125,10 +125,10 @@ class FiniteModule(NamedTuple):
     def from_quotient(cls, denominator: MonomialIdeal) -> "FiniteModule":
         """The quotient by an Artinian monomial ideal, on its standard
         monomial basis (sorted by degree)."""
-        n = denominator.n
+        n, exps = denominator.n, denominator.exps
         caps = []
         for j in range(n):
-            pure = [g.exps[j] for g in denominator.gens if g.support in ((j,), ())]
+            pure = [e[j] for e in exps if not any(e[:j] + e[j + 1:])]
             if not pure:
                 raise ValueError(
                     f"not Artinian: no pure power of variable {j} among the generators"
@@ -140,10 +140,9 @@ class FiniteModule(NamedTuple):
                 f"the standard-monomial box has {volume} cells, over the bound of "
                 f"{MAX_BOX_CELLS} (MAX_BOX_CELLS)"
             )
-        gens = [g.exps for g in denominator.gens]
         cells = itertools.product(*(range(c) for c in caps))
         basis = sorted(
-            (e for e in cells if not any(all(map(int.__le__, g, e)) for g in gens)),
+            (e for e in cells if not _member(e, exps)),
             key=lambda e: (sum(e), e),
         )
         index = {e: i for i, e in enumerate(basis)}

@@ -182,15 +182,14 @@ def fcyc(module: MonomialModule) -> Cycle:
     n = module.n
     if module.is_zero:
         return Cycle.zero(n)
-    occurring = sorted({i for g in module.J.gens for i in g.support})
+    num_exps, den_exps = module.I.exps, module.J.exps
+    occurring = sorted({i for e in den_exps for i, a in enumerate(e) if a})
     if len(occurring) > MAX_PRIME_VARS:
         raise GuardError(
             f"the prime walk over the {len(occurring)} variables that occur in the "
             f"denominator exceeds the bound of {MAX_PRIME_VARS} (MAX_PRIME_VARS)"
         )
-    num_exps = [g.exps for g in module.I.gens]
-    den_exps = [g.exps for g in module.J.gens]
-    supports = {sum(1 << i for i in g.support) for g in module.J.gens}
+    supports = {sum(1 << i for i, a in enumerate(e) if a) for e in den_exps}
     terms = []
     for size in range(min(len(occurring), len(den_exps)) + 1):
         for combo in itertools.combinations(occurring, size):
@@ -373,14 +372,14 @@ def mult_endo(module: MonomialModule, r: Monomial) -> EndoAnalysis:
         # the least k with h*r^k in J, for h in J : r^infinity; a generator
         # of J that exceeds h in a variable r lacks never divides h*r^k
         steps = (
-            [-((h_i - g_i) // r_i) for g_i, h_i, r_i in zip(g.exps, h, r.exps) if g_i > h_i]
-            for g in J.gens
-            if all(r_i or g_i <= h_i for g_i, h_i, r_i in zip(g.exps, h, r.exps))
+            [-((h_i - g_i) // r_i) for g_i, h_i, r_i in zip(g, h, r.exps) if g_i > h_i]
+            for g in J.exps
+            if all(r_i or g_i <= h_i for g_i, h_i, r_i in zip(g, h, r.exps))
         )
         return min(max(s, default=0) for s in steps)
 
     stable = intersect(saturate_mono(J, r), I)
-    k = max([1, *(least_power(h.exps) for h in stable.gens)])
+    k = max([1, *map(least_power, stable.exps)])
     kernel = module.submodule(intersect(colon_mono(J, r), I))
     image = module.submodule(ideal_sum(multiply(I, r), J))
     mu = length(module)

@@ -2,8 +2,9 @@
 intersection, localization and torsion counting.
 
 Everything here is exact integer bookkeeping on exponent vectors.  An
-ideal is held by its unique minimal generating set (an antichain under
-divisibility), so structural equality is ideal equality.
+ideal holds the exponent vectors of its unique minimal generators (an
+antichain under divisibility), so structural equality is ideal equality;
+its ``gens`` view them as Monomials for the public API and text forms.
 """
 
 from __future__ import annotations
@@ -73,10 +74,6 @@ class Monomial(Frozen):
     def is_one(self) -> bool:
         return not any(self.exps)
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, a in enumerate(self.exps) if a)
-
     def divides(self, other: "Monomial") -> bool:
         return all(a <= b for a, b in zip(self.exps, other.exps))
 
@@ -98,42 +95,42 @@ class Monomial(Frozen):
         return f"Monomial({self.exps!r})"
 
 
+def _member(e: tuple[int, ...], exps: Iterable[tuple[int, ...]]) -> bool:
+    """x^e lies in the ideal the vectors generate: one is at most e throughout."""
+    return any(all(map(int.__le__, g, e)) for g in exps)
+
+
 def _minimal(exps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """The minimal exponent vectors of the ideal the vectors generate,
     sorted by degree and then exponents: every vector a kept one divides
     is dropped."""
     kept: list[tuple[int, ...]] = []
     for e in sorted(set(exps), key=lambda e: (sum(e), e)):
-        if not any(all(map(int.__le__, g, e)) for g in kept):
+        if not _member(e, kept):
             kept.append(e)
     return kept
 
 
-def _minimal_gens(exps: Iterable[tuple[int, ...]]) -> tuple[Monomial, ...]:
-    """Minimal generators of the ideal the exponent vectors generate."""
-    return tuple(map(Monomial._trusted, _minimal(exps)))
-
-
 class MonomialIdeal(Frozen):
-    """A monomial ideal held by its minimal generators, sorted canonically.
+    """A monomial ideal held by its minimal exponent vectors ``exps``,
+    sorted by degree and then exponents; ``gens`` views them as Monomials.
 
     The zero ideal has no generators; the unit ideal is generated by 1.
     """
 
-    __slots__ = ("n", "gens")
+    __slots__ = ("n", "exps")
     n: int
-    gens: tuple[Monomial, ...]
+    exps: tuple[tuple[int, ...], ...]
 
     def __init__(self, n: int, gens: tuple[Monomial, ...] = ()):
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "gens", gens)
-        self.__post_init__()
+        self.__post_init__(gens)
 
-    def __post_init__(self):
-        for g in self.gens:
+    def __post_init__(self, gens: tuple[Monomial, ...]):
+        for g in gens:
             if g.n != self.n:
                 raise ValueError(f"generator {g!r} does not live in {self.n} variables")
-        object.__setattr__(self, "gens", _minimal_gens(g.exps for g in self.gens))
+        object.__setattr__(self, "exps", tuple(_minimal(g.exps for g in gens)))
 
     @classmethod
     def _trusted(cls, n: int, exps: Iterable[tuple[int, ...]]) -> "MonomialIdeal":
@@ -141,16 +138,24 @@ class MonomialIdeal(Frozen):
         unchecked."""
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "gens", _minimal_gens(exps))
+        object.__setattr__(self, "exps", tuple(_minimal(exps)))
         return self
+
+    @property
+    def gens(self) -> tuple[Monomial, ...]:
+        """The minimal generators, as Monomials."""
+        return tuple(map(Monomial._trusted, self.exps))
+
+    def __reduce__(self):
+        return (self.__class__, (self.n, self.gens))  # rebuilt by the checked constructor
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.n, self.gens) == (other.n, other.gens)
+        return (self.n, self.exps) == (other.n, other.exps)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.gens))
+        return hash((self.n, self.exps))
 
     @classmethod
     def zero(cls, n: int) -> "MonomialIdeal":
@@ -162,14 +167,14 @@ class MonomialIdeal(Frozen):
 
     @property
     def is_zero(self) -> bool:
-        return not self.gens
+        return not self.exps
 
     @property
     def is_unit(self) -> bool:
-        return len(self.gens) == 1 and self.gens[0].is_one
+        return len(self.exps) == 1 and not any(self.exps[0])
 
     def __repr__(self) -> str:
-        return f"MonomialIdeal({self.n}, {[g.exps for g in self.gens]})"
+        return f"MonomialIdeal({self.n}, {list(self.exps)})"
 
 
 def _same_ambient(n: int, other: int) -> None:
@@ -179,13 +184,12 @@ def _same_ambient(n: int, other: int) -> None:
 
 def member(m: Monomial, ideal: MonomialIdeal) -> bool:
     """Monomial membership: some generator divides m."""
-    e = m.exps
-    return any(all(map(int.__le__, g.exps, e)) for g in ideal.gens)
+    return _member(m.exps, ideal.exps)
 
 
 def contains(big: MonomialIdeal, small: MonomialIdeal) -> bool:
     """Ideal containment small <= big, checked generatorwise."""
-    return all(member(g, big) for g in small.gens)
+    return all(_member(e, big.exps) for e in small.exps)
 
 
 # The operations below build their results unchecked from exponent
@@ -199,7 +203,7 @@ def colon_mono(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     _same_ambient(ideal.n, m.n)
     r = m.exps
     return MonomialIdeal._trusted(
-        ideal.n, (tuple(a - b if a > b else 0 for a, b in zip(g.exps, r)) for g in ideal.gens)
+        ideal.n, (tuple(a - b if a > b else 0 for a, b in zip(e, r)) for e in ideal.exps)
     )
 
 
@@ -219,7 +223,7 @@ def saturate_mono(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     _same_ambient(ideal.n, m.n)
     r = m.exps
     return MonomialIdeal._trusted(
-        ideal.n, (tuple(0 if b else a for a, b in zip(g.exps, r)) for g in ideal.gens)
+        ideal.n, (tuple(0 if b else a for a, b in zip(e, r)) for e in ideal.exps)
     )
 
 
@@ -238,21 +242,21 @@ def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     """Intersection via pairwise lcm of generators."""
     _same_ambient(a.n, b.n)
     return MonomialIdeal._trusted(
-        a.n, (tuple(map(max, g.exps, h.exps)) for g in a.gens for h in b.gens)
+        a.n, (tuple(map(max, g, h)) for g in a.exps for h in b.exps)
     )
 
 
 def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     """The sum ideal, generated by both generator sets."""
     _same_ambient(a.n, b.n)
-    return MonomialIdeal._trusted(a.n, (g.exps for g in a.gens + b.gens))
+    return MonomialIdeal._trusted(a.n, a.exps + b.exps)
 
 
 def multiply(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     """The product m * ideal."""
     _same_ambient(ideal.n, m.n)
     r = m.exps
-    return MonomialIdeal._trusted(ideal.n, (tuple(map(int.__add__, g.exps, r)) for g in ideal.gens))
+    return MonomialIdeal._trusted(ideal.n, (tuple(map(int.__add__, e, r)) for e in ideal.exps))
 
 
 def ideal_of_prime(p: MonomialPrime) -> MonomialIdeal:
@@ -277,8 +281,8 @@ def localize_pair(
     """
     keep = tuple(sorted(keep))
     nn = len(keep)
-    num = MonomialIdeal._trusted(nn, (tuple(g.exps[i] for i in keep) for g in numerator.gens))
-    den = MonomialIdeal._trusted(nn, (tuple(g.exps[i] for i in keep) for g in denominator.gens))
+    num = MonomialIdeal._trusted(nn, (tuple(e[i] for i in keep) for e in numerator.exps))
+    den = MonomialIdeal._trusted(nn, (tuple(e[i] for i in keep) for e in denominator.exps))
     return num, den
 
 
@@ -299,9 +303,7 @@ def h0_count(numerator: MonomialIdeal, denominator: MonomialIdeal) -> int:
     """
     if numerator == denominator:
         return 0
-    return _h0_scan(
-        [g.exps for g in numerator.gens], [g.exps for g in denominator.gens], numerator.n
-    )
+    return _h0_scan(numerator.exps, denominator.exps, numerator.n)
 
 
 def _h0_scan(num: Sequence[tuple[int, ...]], den: Sequence[tuple[int, ...]], n: int) -> int:
@@ -395,4 +397,4 @@ def format_ideal(ideal: MonomialIdeal, names: Sequence[str]) -> str:
 
 
 def ideal_to_json(ideal: MonomialIdeal, names: Sequence[str]) -> dict:
-    return {"vars": list(names), "gens": [list(g.exps) for g in ideal.gens]}
+    return {"vars": list(names), "gens": [list(e) for e in ideal.exps]}

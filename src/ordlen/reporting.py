@@ -1,4 +1,4 @@
-"""Check results, the sweep that produces them, and their text/JSON renderings."""
+"""Check results, the options and the sweep that produce them, and their text/JSON renderings."""
 
 from __future__ import annotations
 
@@ -6,6 +6,8 @@ import json
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 WITNESSES_KEPT = 5
+# the options of ``ordlen check`` and their defaults
+OPTIONS = {"max_vars": 3, "max_deg": 3, "seed": 0, "sample": 500, "truncation": 8}
 
 # A law: (record name, what its cases are and satisfy, verdict on one case).
 # The verdict is true or false, or None for a case the law says nothing about.

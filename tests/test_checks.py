@@ -47,10 +47,10 @@ def test_sample_is_not_capped():
 
 
 def test_three_variable_pairs_obey_max_deg():
-    pairs = Corpus(max_vars=3, max_deg=2, sample=200, seed=5).pairs["3var"]
-    assert len(pairs) == 200
-    assert all(g.degree <= 2 for _, I in pairs for g in I.gens)
-    assert all(g.degree <= 4 for J, _ in pairs for g in J.gens)
+    modules = Corpus(max_vars=3, max_deg=2, sample=200, seed=5).modules["3var"]
+    assert len(modules) == 200
+    assert all(g.degree <= 2 for M in modules for g in M.I.gens)
+    assert all(g.degree <= 4 for M in modules for g in M.J.gens)
 
 
 def test_converse_search_fails_when_a_length_is_not_found(monkeypatch):

@@ -1,10 +1,15 @@
 """End-to-end command-line behaviour via main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import ordlen.checks
 from ordlen import cli
 from ordlen.reporting import CheckResult
 
@@ -163,11 +168,26 @@ def test_check_passing_suite_exit_0(capsys):
 
 def test_check_failing_suite_exit_1(capsys, monkeypatch):
     monkeypatch.setattr(
-        cli, "run_suites", lambda *a, **k: [CheckResult("stub", False, "boom")]
+        ordlen.checks, "run_suites", lambda *a, **k: [CheckResult("stub", False, "boom")]
     )
     code, out, _ = run(capsys, "check", "ordinal")
     assert code == 1
     assert "CHECK stub FAIL boom" in out
+
+
+def test_module_commands_do_not_load_the_check_layer():
+    src = str(Path(ordlen.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, ordlen.cli; "
+        "print([m for m in ('ordlen.checks', 'ordlen.endo_fixture', 'ordlen.finite_oracle') "
+        "if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    ).stdout
+    assert out.strip() == "[]"
 
 
 # -- golden outputs -----------------------------------------------------------

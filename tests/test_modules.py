@@ -630,7 +630,7 @@ def few_generator_modules():
         J = MonomialIdeal(n, tuple(
             Monomial(tuple(rng.randint(0, 2) for _ in range(n))) for _ in range(rng.randint(1, n - 1))
         ))
-        if J.is_unit or len(J.gens) >= len({i for g in J.gens for i in g.support}):
+        if J.is_unit or len(J.exps) >= len({i for e in J.exps for i, a in enumerate(e) if a}):
             continue
         extra = MonomialIdeal(n, (Monomial(tuple(rng.randint(0, 2) for _ in range(n))),))
         I = rng.choice([MonomialIdeal.unit(n), ideal_sum(J, extra)])

@@ -1,6 +1,8 @@
 """Monomial ideal calculus, cross-checked against box-membership brutes."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -57,7 +59,7 @@ def test_monomial_operations():
     assert colon_mono(B, a) == MonomialIdeal(2, (Monomial((0, 2)),))
     assert a.pow(3) == Monomial((6, 3))
     assert Monomial.one(2).divides(a)
-    assert a.degree == 3 and a.support == (0, 1)
+    assert a.degree == 3
 
 
 def test_monomial_validation():
@@ -77,6 +79,71 @@ def test_ideal_minimalizes_generators():
 
 def test_ideal_equality_is_canonical():
     assert I2("x^2, x*y, x^2*y") == I2("x*y, x^2")
+
+
+def test_ideal_holds_its_minimal_exponent_vectors():
+    """Every ideal, built checked or by a kernel operation, holds the
+    sorted minimal vectors of its generators as a tuple of int tuples,
+    which ``gens`` views as Monomials; order is irrelevant to equality
+    and hashing, and pickling and copying give an equal ideal."""
+    rng = random.Random(21)
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        ag, bg = random_exps_ideal(rng, n), random_exps_ideal(rng, n)
+        a, b = exps_ideal(n, ag), exps_ideal(n, bg)
+        m = tuple(rng.randint(0, 2) for _ in range(n))
+        keep = tuple(sorted(rng.sample(range(n), rng.randint(0, n))))
+        num, den = localize_pair(a, b, keep)
+        built = [
+            (a, ag),
+            (colon_mono(a, Monomial(m)), [tuple(max(x - y, 0) for x, y in zip(g, m)) for g in ag]),
+            (saturate_mono(a, Monomial(m)), [tuple(0 if y else x for x, y in zip(g, m)) for g in ag]),
+            (intersect(a, b), [tuple(map(max, g, h)) for g in ag for h in bg]),
+            (ideal_sum(a, b), ag + bg),
+            (multiply(a, Monomial(m)), [tuple(x + y for x, y in zip(g, m)) for g in ag]),
+            (num, [tuple(g[i] for i in keep) for g in ag]),
+            (den, [tuple(g[i] for i in keep) for g in bg]),
+        ]
+        for ideal, naive in built:
+            exps = ideal.exps
+            assert type(exps) is tuple and all(type(e) is tuple for e in exps)
+            assert all(type(x) is int for e in exps for x in e)
+            assert exps == tuple(g.exps for g in ideal.gens) == tuple(brute.minimal(naive))
+            shuffled = naive[:]
+            rng.shuffle(shuffled)
+            other = exps_ideal(ideal.n, shuffled)
+            assert other == ideal and hash(other) == hash(ideal), (naive, shuffled)
+            for twin in (pickle.loads(pickle.dumps(ideal)), copy.copy(ideal), copy.deepcopy(ideal)):
+                assert twin == ideal and hash(twin) == hash(ideal)
+    assert MonomialIdeal._trusted(2, [(1, 0), (2, 0)]).exps == ((1, 0),)
+
+
+def test_ideal_fields_are_frozen_and_validated_once(monkeypatch):
+    assert MonomialIdeal.__slots__ == ("n", "exps")
+    ideal = I2("x^2, y")
+    for name in ("n", "exps", "gens"):
+        with pytest.raises(AttributeError):
+            setattr(ideal, name, ())
+        with pytest.raises(AttributeError):
+            delattr(ideal, name)
+    checked = []
+    original = MonomialIdeal.__post_init__
+
+    def counting(self, *args):
+        checked.append(self)
+        return original(self, *args)
+
+    monkeypatch.setattr(MonomialIdeal, "__post_init__", counting)
+    assert MonomialIdeal(2, (M2("x"), M2("x^2"))).exps == ((1, 0),)
+    assert len(checked) == 1
+    colon_mono(ideal, M2("x"))
+    intersect(ideal, ideal)
+    ideal_sum(ideal, ideal)
+    assert len(checked) == 1
+    # a copy rebuilds through the checked constructor, so a bad field is caught
+    assert pickle.loads(pickle.dumps(ideal)) == ideal and len(checked) == 2
+    with pytest.raises(ValueError):
+        copy.copy(MonomialIdeal._trusted(2, [(1,)]))
 
 
 # -- membership / containment vs brute ---------------------------------
