@@ -9,17 +9,18 @@ its ``gens`` view them as Monomials for the public API and text forms.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from functools import reduce
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .cycles import MonomialPrime
 from .errors import GuardError, ParseError
 from .frozen import Frozen
 
-# Largest number of box lines one h0_count scan may visit.
+# Largest number of lines the box of one h0_count may hold.  The scan
+# visits one line per cell of the box's exponent grid, often far fewer.
 MAX_H0_LINES = 10**6
 
 
@@ -279,6 +280,7 @@ def localize_pair(
     of valid exponent vectors are valid, so both ideals are built
     unchecked.
     """
+    _same_ambient(numerator.n, denominator.n)
     keep = tuple(sorted(keep))
     nn = len(keep)
     num = MonomialIdeal._trusted(nn, (tuple(e[i] for i in keep) for e in numerator.exps))
@@ -298,9 +300,19 @@ def h0_count(numerator: MonomialIdeal, denominator: MonomialIdeal) -> int:
     the count runs over a finite box.  Along a line of the box in the
     variable v with the largest cap, membership in J, in I and in each
     saturation is a threshold t on v's exponent, so the line holds
-    max(0, t_J - max(t_I, t_i...)) counted monomials and the scan visits
-    lines, not cells.
+    max(0, t_J - max(t_I, t_i...)) counted monomials.  Each threshold
+    compares the line's other coordinates with generator exponents, so
+    on each other axis it is constant between consecutive distinct
+    exponents of I and J below the cap.  The scan visits one line per
+    cell of that grid, weighted by the cell's size.  For
+    R/(x^k, y^k, z^k, xyz) the cells on the y and z axes are [0, 1) and
+    [1, k), so the grid has 4 cells where the box has k^2 lines.
+
+    Ideals in different ambients raise ValueError.  A box of more than
+    ``MAX_H0_LINES`` lines raises GuardError, however few cells its grid
+    has.
     """
+    _same_ambient(numerator.n, denominator.n)
     if numerator == denominator:
         return 0
     return _h0_scan(numerator.exps, denominator.exps, numerator.n)
@@ -311,10 +323,11 @@ def _h0_scan(num: Sequence[tuple[int, ...]], den: Sequence[tuple[int, ...]], n: 
     ideals in n variables, the numerator's and the denominator's."""
     if n == 0:
         # the ring is the ground field; the module is it or nothing
-        return 1
-    caps = [max((e[j] for e in den), default=0) for j in range(n)]
-    if not all(caps):
-        # no generator involves some x_i, so J : x_i^infinity = J and nothing is torsion
+        return 1 if num else 0
+    caps = list(map(max, zip(*den)))
+    if not caps or not all(caps):
+        # J is zero, or no generator involves some x_i, so J : x_i^infinity = J
+        # and nothing is torsion
         return 0
     v = caps.index(max(caps))
     others = [j for j in range(n) if j != v]
@@ -324,28 +337,69 @@ def _h0_scan(num: Sequence[tuple[int, ...]], den: Sequence[tuple[int, ...]], n: 
             f"torsion count would scan {lines} box lines, over the bound of "
             f"{MAX_H0_LINES} (MAX_H0_LINES)"
         )
-    # each generator as (exponent of v, exponents of the other variables)
-    num = [(e[v], [e[j] for j in others]) for e in num]
-    den = [(e[v], [e[j] for j in others]) for e in den]
-    never = caps[v]  # a threshold at or past the cap excludes the whole line
-    count = 0
-    for point in itertools.product(*(range(caps[j]) for j in others)):
-        t_num = min(
-            (t for t, rest in num if all(map(int.__le__, rest, point))), default=never
+    if not num:
+        # a zero numerator has nothing to count
+        return 0
+    # Generators sorted by their exponent of v, so the least threshold
+    # among a set of them held as a bitmask m is t[(m & -m).bit_length() - 1],
+    # the threshold of its lowest set bit.
+    num = sorted(num, key=itemgetter(v))
+    den = sorted(den, key=itemgetter(v))
+    t_num = [e[v] for e in num]
+    t_den = [e[v] for e in den]
+    # On each other axis j a generator reaches the points whose exponent
+    # is at least its own, so every comparison is constant on the cells
+    # between consecutive distinct exponents below the cap: one line per
+    # cell, weighted by the cell's width, stands for all of its lines.
+    # A cell is (width, the masks of the generators of I and of J that
+    # reach it).
+    grid = []
+    for j in others:
+        cuts = sorted({0, caps[j], *[e[j] for e in num if e[j] < caps[j]], *[e[j] for e in den]})
+        grid.append(
+            [
+                (
+                    hi - lo,
+                    sum([1 << k for k, e in enumerate(num) if e[j] <= lo]),
+                    sum([1 << k for k, e in enumerate(den) if e[j] <= lo]),
+                )
+                for lo, hi in zip(cuts, cuts[1:])
+            ]
         )
-        if t_num >= never:
-            continue
-        t_den = never + 1  # stays past the cap while no generator of J reaches the line
-        t_sat = [never] * len(others)
-        for t, rest in den:
-            missed = [k for k, (a, p) in enumerate(zip(rest, point)) if a > p]
-            if not missed:
-                t_den = min(t_den, t)
-            elif len(missed) == 1 and t < t_sat[missed[0]]:
-                t_sat[missed[0]] = t
-        if t_den > never:
-            continue
-        count += max(0, t_den - max([t_num, *t_sat]))
+    if not grid:
+        # one variable: the box is a single line
+        return max(0, t_den[0] - t_num[0])
+    # Walk the cells depth first.  A state holds the generators of I and
+    # of J that reach the line on the axes so far and, for each of those
+    # axes, the generators of J that miss that axis alone: the ones whose
+    # saturation sets that axis's threshold.  A cell where any of these
+    # sets is empty counts nothing, nor does any cell below it.
+    last = len(grid) - 1
+    count = 0
+    stack = [(0, 1, (1 << len(num)) - 1, (1 << len(den)) - 1, [])]
+    while stack:
+        axis, weight, num_in, den_in, alone = stack.pop()
+        for width, num_at, den_at in grid[axis]:
+            num_next = num_in & num_at
+            den_next = den_in & den_at
+            missed = den_in & ~den_at
+            if not (num_next and den_next and missed):
+                continue
+            alone_next = [m & den_at for m in alone]
+            if not all(alone_next):
+                continue
+            alone_next.append(missed)
+            if axis < last:
+                stack.append((axis + 1, weight * width, num_next, den_next, alone_next))
+                continue
+            # the line counts from I's and every saturation's threshold up to J's
+            start = max(
+                [t_num[(num_next & -num_next).bit_length() - 1]]
+                + [t_den[(m & -m).bit_length() - 1] for m in alone_next]
+            )
+            end = t_den[(den_next & -den_next).bit_length() - 1]
+            if end > start:
+                count += weight * width * (end - start)
     return count
 
 

@@ -79,6 +79,45 @@ def h0_count(i_gens: list[Exp], j_gens: list[Exp], n: int, cap: int) -> int:
     return count
 
 
+def h0_lines(i_gens: list[Exp], j_gens: list[Exp], n: int) -> int:
+    """The torsion count of I/J from generators of I and J, one line of
+    the box at a time: the scan h0_count ran before it visited cells.
+
+    A torsion monomial's exponent of x_j is below J's largest one (the
+    cap).  Along a line in the variable v with the largest cap, lying in
+    I, in J and in each saturation J : x_i^infinity is a threshold on
+    v's exponent, and the line holds max(0, t_J - max(t_I, t_i...))
+    counted monomials.  Unlike h0_count this needs no bounding box, so
+    it reaches exponents too large for the box count."""
+    if n == 0:
+        return 1
+    caps = [max((e[j] for e in j_gens), default=0) for j in range(n)]
+    if not all(caps):
+        return 0
+    v = caps.index(max(caps))
+    others = [j for j in range(n) if j != v]
+    num = [(e[v], [e[j] for j in others]) for e in i_gens]
+    den = [(e[v], [e[j] for j in others]) for e in j_gens]
+    never = caps[v]  # a threshold at or past the cap excludes the whole line
+    count = 0
+    for point in itertools.product(*(range(caps[j]) for j in others)):
+        t_num = min((t for t, rest in num if divides(rest, point)), default=never)
+        if t_num >= never:
+            continue
+        t_den = never + 1  # stays past the cap while no generator of J reaches the line
+        t_sat = [never] * len(others)
+        for t, rest in den:
+            missed = [k for k, (a, p) in enumerate(zip(rest, point)) if a > p]
+            if not missed:
+                t_den = min(t_den, t)
+            elif len(missed) == 1 and t < t_sat[missed[0]]:
+                t_sat[missed[0]] = t
+        if t_den > never:
+            continue
+        count += max(0, t_den - max([t_num, *t_sat]))
+    return count
+
+
 def fcyc(i_gens: list[Exp], j_gens: list[Exp], n: int) -> dict[tuple[int, ...], int]:
     """The nonzero weights of the fundamental cycle of I/J, keyed by the
     sorted variables of each prime: at every one of the 2^n primes, the

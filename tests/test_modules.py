@@ -656,9 +656,20 @@ def test_generator_count_skips_only_weightless_primes():
 
 
 def test_large_exponent_lengths_stay_fast():
+    """The closed forms of the benchmark's exponent ladder, far past its
+    rungs: the scan's cost follows the distinct exponents, not their size."""
     with Budget(1.0):
         xy = parse_ideal("x^200, y^200", ("x", "y"))
         assert length(MonomialModule.quotient_ring(xy)) == Ordinal.finite(40000)
         xyz = parse_ideal("x^50, y^50, z^50, x*y*z", ("x", "y", "z"))
         assert length(MonomialModule.quotient_ring(xyz)) == Ordinal.finite(7351)
+        # cube (x^k, y^k, z^k, xyz): k^3 - (k-1)^3
+        cube = parse_ideal("x^900, y^900, z^900, x*y*z", ("x", "y", "z"))
+        assert length(MonomialModule.quotient_ring(cube)) == Ordinal.finite(2427301)
+        # corner (x^k, x^a y^b, y^k), a = k/4, b = 3k/4: k^2 - (k-a)(k-b)
+        corner = parse_ideal("x^400, x^100*y^300, y^400", ("x", "y"))
+        assert length(MonomialModule.quotient_ring(corner)) == Ordinal.finite(130000)
+        # strip (x^k, x^a y^b), a = k/2, b = k: a w + (k-a) b
+        strip = parse_ideal("x^400, x^200*y^400", ("x", "y"))
+        assert length(MonomialModule.quotient_ring(strip)) == Ordinal.parse("200w + 80000")
 

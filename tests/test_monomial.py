@@ -328,7 +328,21 @@ def test_kernel_matches_brute_in_one_to_four_variables():
                 assert brute.member(cell, gens) == predicate(cell), (op, ag, bg, m, cell)
 
 
-@pytest.mark.parametrize("op", [colon_mono, saturate_mono, multiply])
+def _over_its_ideal(op, *rest):
+    """op on an ideal and the principal ideal of a monomial."""
+    return lambda ideal, m: op(ideal, MonomialIdeal(m.n, (m,)), *rest)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        colon_mono,
+        saturate_mono,
+        multiply,
+        pytest.param(_over_its_ideal(h0_count), id="h0_count"),
+        pytest.param(_over_its_ideal(localize_pair, (0,)), id="localize_pair"),
+    ],
+)
 def test_monomial_operations_refuse_an_ambient_mismatch(op):
     # zip alone would drop the extra variable, making (x) : (1, 0, 5) the unit ideal
     for m in (Monomial((1, 0, 5)), Monomial((1,))):
@@ -421,6 +435,13 @@ def test_h0_count_known_values():
     assert h0_count(MonomialIdeal.unit(2), I2("x^2, x*y, y^2")) == 3
     # domain: nothing
     assert h0_count(MonomialIdeal.unit(2), MonomialIdeal.zero(2)) == 0
+    # a zero numerator has nothing to count, in any number of variables
+    assert h0_count(MonomialIdeal.zero(2), I2("x^2, y")) == 0
+    assert h0_count(MonomialIdeal.zero(1), MonomialIdeal(1, (Monomial((2,)),))) == 0
+    assert h0_count(MonomialIdeal.zero(0), MonomialIdeal.unit(0)) == 0
+    # on some lines of R/(z^2, yz, xy^2) a generator that misses one axis
+    # alone has a higher threshold than J's: they count 0, not less
+    assert h0_count(MonomialIdeal.unit(3), exps_ideal(3, [(0, 0, 2), (0, 1, 1), (1, 2, 0)])) == 0
     # submodule numerator restricts the count
     assert h0_count(I2("x"), I2("x^2, x*y")) == 1
     assert h0_count(I2("y"), I2("x^2, x*y")) == 0
@@ -489,11 +510,43 @@ def test_h0_count_largest_cap_not_last():
     )
 
 
+def test_h0_count_matches_the_line_scan_at_sparse_large_exponents():
+    """The cell scan equals the line-by-line scan it replaced, and the
+    box count where the box is small, on exponents drawn from
+    {0, 1, k-1, k, 2k}: few distinct values, but large ones."""
+    rng = random.Random(22)
+
+    def draw(n, sparse, count):
+        return [tuple(rng.choice(sparse) for _ in range(n)) for _ in range(count)]
+
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        k = rng.randint(2, (60, 60, 16, 5)[n - 1])
+        sparse = (0, 1, k - 1, k, 2 * k)
+        jg = [e for e in draw(n, sparse, rng.randint(1, 5)) if any(e)]
+        # pure powers of most variables, so that most cases have torsion
+        jg += [tuple(rng.choice(sparse[1:]) if j == i else 0 for j in range(n))
+               for i in range(n) if rng.random() < 0.8]
+        if not jg:
+            continue
+        ig = draw(n, sparse, rng.randint(1, 2)) + jg if rng.random() < 0.5 else [(0,) * n]
+        I, J = exps_ideal(n, ig), exps_ideal(n, jg)
+        got = h0_count(I, J)
+        assert got == brute.h0_lines(ig, jg, n), (ig, jg)
+        cap = max(a for e in jg for a in e)
+        if cap ** n <= 1000:
+            assert got == brute.h0_count(brute.minimal(ig), jg, n, cap), (ig, jg)
+
+
 def test_h0_count_guards_its_scan():
-    # caps (3000, 2000, 2000): the scan along x would visit 2000 * 2000 lines
+    # caps (3000, 2000, 2000): the box along x has 2000 * 2000 lines.  Its
+    # exponent grid has one cell, but the guard counts the box's lines.
     J = exps_ideal(3, [(3000, 0, 0), (0, 2000, 0), (0, 0, 2000)])
-    with pytest.raises(GuardError, match="4000000 box lines, over the bound of 1000000 .MAX_H0_LINES"):
+    with pytest.raises(GuardError) as refused:
         h0_count(MonomialIdeal.unit(3), J)
+    assert str(refused.value) == (
+        "torsion count would scan 4000000 box lines, over the bound of 1000000 (MAX_H0_LINES)"
+    )
 
 
 # -- parsing and formatting ----------------------------------------------
