@@ -205,31 +205,22 @@ def longest_chain(module: FiniteModule) -> int:
     """Number of steps in the longest strictly increasing chain of
     submodules from zero to the whole module.
 
-    Every step of any chain raises the dimension, so no chain beats one
-    that climbs a dimension at a time; such a chain always exists here
-    because nilpotent actions leave a socle in every quotient.  It is
-    built below one socle vector of the quotient at a time: every
-    variable sends that vector into the chain so far, so each step is a
-    submodule.  The count equals the dimension.
+    Every step of any chain raises the dimension, so no chain is longer
+    than the dimension.  ``from_quotient`` lists the standard monomials
+    by degree and every variable raises the degree, so each action sends
+    basis vector i into the span of the vectors after it.  The spans of
+    the last k basis vectors, k = 0..dim, are then submodules one
+    dimension apart, and the count equals the dimension.  A table that
+    sends a vector to itself or to an earlier one raises RuntimeError.
     """
-    basis: list[int] = []
-    steps = 0
-    while len(basis) < module.dim:
-        images = [
-            _concat(
-                [reduce_mod(basis, module.apply_var(j, 1 << i)) for j in range(module.nvars)],
-                module.dim,
-            )
-            for i in range(module.dim)
-        ]
-        candidates = [
-            v for v in span_vectors(kernel_of_map(images)) if not in_span(basis, v)
-        ]
-        if not candidates:
-            raise RuntimeError("socle ascent stalled; the actions are not nilpotent")
-        basis = list(echelon(basis + [min(candidates)]))
-        steps += 1
-    return steps
+    for act in module.actions:
+        for i, image in enumerate(act):
+            if image & ((2 << i) - 1):
+                raise RuntimeError(
+                    f"basis vector {i} is sent to itself or an earlier one; "
+                    "the basis is not in degree order"
+                )
+    return module.dim
 
 
 def enumerate_endos(module: FiniteModule) -> list[tuple[int, ...]]:

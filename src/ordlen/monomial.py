@@ -9,7 +9,6 @@ its ``gens`` view them as Monomials for the public API and text forms.
 
 from __future__ import annotations
 
-import math
 import re
 from functools import reduce
 from operator import itemgetter
@@ -19,9 +18,9 @@ from .cycles import MonomialPrime
 from .errors import GuardError, ParseError
 from .frozen import Frozen
 
-# Largest number of lines the box of one h0_count may hold.  The scan
-# visits one line per cell of the box's exponent grid, often far fewer.
-MAX_H0_LINES = 10**6
+# Largest number of cells of the exponent grid one h0_count may scan;
+# the scan visits one line of the box per cell.
+MAX_H0_CELLS = 10**6
 
 
 class Monomial(Frozen):
@@ -308,9 +307,8 @@ def h0_count(numerator: MonomialIdeal, denominator: MonomialIdeal) -> int:
     R/(x^k, y^k, z^k, xyz) the cells on the y and z axes are [0, 1) and
     [1, k), so the grid has 4 cells where the box has k^2 lines.
 
-    Ideals in different ambients raise ValueError.  A box of more than
-    ``MAX_H0_LINES`` lines raises GuardError, however few cells its grid
-    has.
+    Ideals in different ambients raise ValueError.  A grid of more than
+    ``MAX_H0_CELLS`` cells raises GuardError before its masks are built.
     """
     _same_ambient(numerator.n, denominator.n)
     if numerator == denominator:
@@ -331,11 +329,23 @@ def _h0_scan(num: Sequence[tuple[int, ...]], den: Sequence[tuple[int, ...]], n: 
         return 0
     v = caps.index(max(caps))
     others = [j for j in range(n) if j != v]
-    lines = math.prod(caps[j] for j in others)
-    if lines > MAX_H0_LINES:
+    # On each other axis j a generator reaches the points whose exponent
+    # is at least its own, so every comparison is constant on the cells
+    # between consecutive distinct exponents below the cap: one line per
+    # cell, weighted by the cell's width, stands for all of its lines.
+    # (Plain loops here: a comprehension nested in a comprehension builds
+    # a function object per axis, a cost the many small scans feel.)
+    cuts = []
+    cells = 1
+    for j in others:
+        cuts.append(
+            sorted({0, caps[j], *[e[j] for e in num if e[j] < caps[j]], *[e[j] for e in den]})
+        )
+        cells *= len(cuts[-1]) - 1
+    if cells > MAX_H0_CELLS:
         raise GuardError(
-            f"torsion count would scan {lines} box lines, over the bound of "
-            f"{MAX_H0_LINES} (MAX_H0_LINES)"
+            f"torsion count would scan {cells} grid cells, over the bound of "
+            f"{MAX_H0_CELLS} (MAX_H0_CELLS)"
         )
     if not num:
         # a zero numerator has nothing to count
@@ -347,15 +357,10 @@ def _h0_scan(num: Sequence[tuple[int, ...]], den: Sequence[tuple[int, ...]], n: 
     den = sorted(den, key=itemgetter(v))
     t_num = [e[v] for e in num]
     t_den = [e[v] for e in den]
-    # On each other axis j a generator reaches the points whose exponent
-    # is at least its own, so every comparison is constant on the cells
-    # between consecutive distinct exponents below the cap: one line per
-    # cell, weighted by the cell's width, stands for all of its lines.
     # A cell is (width, the masks of the generators of I and of J that
     # reach it).
     grid = []
-    for j in others:
-        cuts = sorted({0, caps[j], *[e[j] for e in num if e[j] < caps[j]], *[e[j] for e in den]})
+    for j, axis_cuts in zip(others, cuts):
         grid.append(
             [
                 (
@@ -363,7 +368,7 @@ def _h0_scan(num: Sequence[tuple[int, ...]], den: Sequence[tuple[int, ...]], n: 
                     sum([1 << k for k, e in enumerate(num) if e[j] <= lo]),
                     sum([1 << k for k, e in enumerate(den) if e[j] <= lo]),
                 )
-                for lo, hi in zip(cuts, cuts[1:])
+                for lo, hi in zip(axis_cuts, axis_cuts[1:])
             ]
         )
     if not grid:

@@ -192,16 +192,6 @@ class Ordinal(Frozen):
             return NotImplemented
         return self._key() <= other._key()
 
-    def __gt__(self, other: "Ordinal") -> bool:
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self._key() > other._key()
-
-    def __ge__(self, other: "Ordinal") -> bool:
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self._key() >= other._key()
-
     def weaker(self, other: "Ordinal") -> bool:
         """Coefficientwise comparison; a partial order refined by <=."""
         a, b = self.coeffs, other.coeffs

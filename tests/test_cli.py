@@ -153,9 +153,14 @@ def test_len_one_occurring_variable_in_twenty(capsys):
 
 
 def test_exponent_guard_exit_3(capsys):
-    code, _, err = run(capsys, "len", "--vars", "x,y,z", "--ideal", "x^3000,y^2000,z^2000")
+    # 1001 distinct exponents on each of y and z: 1001^2 grid cells
+    stair = ",".join(["x^3000"] + [f"y^{k}*z^{1002 - k}" for k in range(1, 1002)])
+    code, _, err = run(capsys, "len", "--vars", "x,y,z", "--ideal", stair)
     assert code == 3
-    assert "4000000 box lines" in err
+    assert "1002001 grid cells" in err
+    # a box of 2000^2 lines is a single cell of the grid
+    code, out, _ = run(capsys, "len", "--vars", "x,y,z", "--ideal", "x^3000,y^2000,z^2000")
+    assert (code, out.strip()) == (0, "12000000000")
 
 
 def test_check_passing_suite_exit_0(capsys):

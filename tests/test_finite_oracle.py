@@ -187,6 +187,31 @@ def test_longest_chain_equals_dimension_above_the_submodule_guard():
         enumerate_submodules(M)
 
 
+def test_trailing_basis_runs_are_submodules():
+    # the degree order makes the span of each trailing run of basis
+    # vectors action-stable: the chain longest_chain counts
+    ideals = artinian_ideals_containing_power(2, 4) + artinian_ideals_containing_power(3, 3)
+    for J in ideals:
+        M = FiniteModule.from_quotient(J)
+        for k in range(M.dim + 1):
+            run = echelon(1 << i for i in range(M.dim - k, M.dim))
+            assert closure(M, run) == run, (J, k)
+
+
+def test_longest_chain_refuses_a_basis_out_of_degree_order():
+    M = FiniteModule.from_quotient(I2("x^2, x*y, y^3"))
+
+    def flip(v):
+        return sum(1 << (M.dim - 1 - i) for i in range(M.dim) if (v >> i) & 1)
+
+    reversed_module = M._replace(
+        actions=tuple(tuple(flip(w) for w in reversed(act)) for act in M.actions),
+        labels=M.labels[::-1],
+    )
+    with pytest.raises(RuntimeError, match="not in degree order"):
+        longest_chain(reversed_module)
+
+
 def test_submodule_guard_fires():
     M = FiniteModule.from_quotient(I1("x^9"))
     with pytest.raises(GuardError, match="dimension 9 exceeds the bound of 8 .SUBMODULE_DIM_CAP"):

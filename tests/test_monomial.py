@@ -539,13 +539,17 @@ def test_h0_count_matches_the_line_scan_at_sparse_large_exponents():
 
 
 def test_h0_count_guards_its_scan():
-    # caps (3000, 2000, 2000): the box along x has 2000 * 2000 lines.  Its
-    # exponent grid has one cell, but the guard counts the box's lines.
-    J = exps_ideal(3, [(3000, 0, 0), (0, 2000, 0), (0, 0, 2000)])
+    # caps (3000, 2000, 2000): the box along x has 2000 * 2000 lines but
+    # its exponent grid has one cell, so the guard lets the scan run
+    box = exps_ideal(3, [(3000, 0, 0), (0, 2000, 0), (0, 0, 2000)])
+    assert h0_count(MonomialIdeal.unit(3), box) == 3000 * 2000 * 2000
+    # a staircase in y and z: 1001 distinct exponents on each axis but
+    # the scanned x, so 1001 * 1001 grid cells
+    stair = exps_ideal(3, [(3000, 0, 0)] + [(0, k, 1002 - k) for k in range(1, 1002)])
     with pytest.raises(GuardError) as refused:
-        h0_count(MonomialIdeal.unit(3), J)
+        h0_count(MonomialIdeal.unit(3), stair)
     assert str(refused.value) == (
-        "torsion count would scan 4000000 box lines, over the bound of 1000000 (MAX_H0_LINES)"
+        "torsion count would scan 1002001 grid cells, over the bound of 1000000 (MAX_H0_CELLS)"
     )
 
 

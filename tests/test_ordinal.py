@@ -1,5 +1,7 @@
 """Ordinal arithmetic below w^w."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -71,6 +73,14 @@ def test_total_order_sorts_by_degree_then_lexicographic():
     ]
     assert sorted(chain) == chain
     assert all(a < b for a, b in zip(chain, chain[1:]))
+
+
+def test_greater_reflects_to_less():
+    # Ordinal defines only < and <=; Python answers > and >= by reflection
+    pool = [Ordinal(c) for c in itertools.product(range(3), repeat=3)]
+    for a in pool:
+        for b in pool:
+            assert (a > b) == (b < a) and (a >= b) == (b <= a), (a, b)
 
 
 def test_weaker_and_lattice():
